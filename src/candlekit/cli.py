@@ -16,17 +16,16 @@ from .decompose import subcharts
 from .errors import CandlekitError, ManifestError
 from .experiment import (
     ExperimentManifest,
+    ExperimentReport,
     build_dataset,
     ensure_datasets,
+    evaluate_checkpoint,
     load_manifest,
     render_report,
     run_arm,
     run_experiment,
 )
-from .experiment import ExperimentReport
 from .market_data import Series, parse_csv, synth_series, window
-from .models import evaluate, predict, split_indices, build_model
-from .nn import load_arrays
 from .patterns import PatternRuleParams, detect_all
 from .raster import RenderSpec, read_ppm, render_window, write_ppm
 
@@ -131,32 +130,15 @@ def _cmd_train(args) -> int:
     outcome = run_arm(man, dirs, args.dataset, arm, out_root)
     run_dir = out_root / "train" / f"{args.dataset}__{arm.arm_name}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    if outcome.train_report is not None:
-        (run_dir / "train_report.json").write_text(outcome.train_report.to_json())
+    (run_dir / "train_report.json").write_text(outcome.train_report.to_json())
     (run_dir / "row.json").write_text(json.dumps(outcome.row, sort_keys=True, indent=2) + "\n")
     print(json.dumps(outcome.row, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    from .datasets import assemble_training_set
-    from .experiment import _member_dirs, _model_config, _train_config
-
     man = _require_manifest(args)
-    arm = _find_arm(man, args.arm)
-    if arm.model == "subchart":
-        raise ManifestError("eval supports mini_cnn/two_stream arms; rerun subchart arms via train")
-    dirs = ensure_datasets(man)
-    ms = man.model_settings
-    ts = assemble_training_set(
-        _member_dirs(man, dirs, args.dataset), ms.hist_hw, ms.pattern_hw, arm.include_pattern
-    )
-    model = build_model(_model_config(man, args.dataset, arm))
-    model.set_arrays(load_arrays(args.checkpoint))
-    tc = _train_config(man, args.dataset, arm)
-    _tr, _va, te = split_indices(ts.order, ts.member, tc)
-    inputs = (ts.inputs[te], ts.pattern[te]) if arm.model == "two_stream" else ts.inputs[te]
-    rep = evaluate(predict(model, inputs), ts.labels[te])
+    rep = evaluate_checkpoint(man, args.dataset, _find_arm(man, args.arm), args.checkpoint)
     print(json.dumps(rep.to_dict(), sort_keys=True, indent=2))
     return 0
 
@@ -225,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="override output_dir")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test partition")
+    p = sub.add_parser("eval", help="evaluate a mini_cnn/two_stream checkpoint on the test partition")
     _add_common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--arm", required=True)

@@ -54,6 +54,10 @@ class TruncatedPixelData(CandlekitError):
     """PPM pixel payload is shorter than the header claims."""
 
 
+class CorruptCheckpoint(TruncatedPixelData):
+    """Checkpoint stream is shorter than its header claims or has bytes left over."""
+
+
 # --- decomposition / inverse parsing ---
 
 class NoCandlesFound(CandlekitError):
@@ -99,7 +103,7 @@ class LengthMismatch(CandlekitError):
 # --- experiment harness ---
 
 class SourceNotFound(CandlekitError):
-    """Dataset source (CSV path or member name) cannot be resolved."""
+    """An input (CSV, manifest or checkpoint path, or member name) cannot be resolved."""
 
 
 class EmptyDataset(CandlekitError):

@@ -28,15 +28,17 @@ import numpy as np
 
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
-from .errors import CandlekitError, EmptyDataset, ManifestError, SourceNotFound
-from .labeling import LabelerParams, StrengthLabel, build_samples
-from .market_data import Series, SynthParams, parse_csv, synth_series, window
+from .errors import EmptyDataset, ManifestError, SourceNotFound
+from .labeling import LabelerParams, build_samples
+from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
-    SubchartPipelineResult,
     EvalReport,
+    Model,
     ModelConfig,
     TrainConfig,
+    TrainingSet,
     TrainReport,
+    batch_inputs,
     build_model,
     evaluate,
     predict,
@@ -325,12 +327,33 @@ def _train_config(man: ExperimentManifest, ds_name: str, arm: ArmSpec) -> TrainC
 @dataclass
 class ArmOutcome:
     row: dict
-    train_report: TrainReport | None = None
+    train_report: TrainReport
 
 
-def _class_balance(labels: np.ndarray) -> dict[str, int]:
-    strong = int(np.sum(labels == 1.0))
-    return {"strong": strong, "weak": int(len(labels) - strong)}
+def _arm_row(ds_name: str, arm: ArmSpec, error: str | None = None, **fields) -> dict:
+    """One report row; ``error`` set marks the (dataset, arm) pair failed."""
+    return {
+        "dataset": ds_name,
+        "arm": arm.arm_name,
+        "model": arm.model,
+        "include_pattern": arm.include_pattern,
+        "status": "ok" if error is None else "error",
+        "error": error,
+        **fields,
+    }
+
+
+def _training_set(man: ExperimentManifest, dirs: dict[str, Path], ds_name: str, arm: ArmSpec) -> TrainingSet:
+    ms = man.model_settings
+    return assemble_training_set(
+        _member_dirs(man, dirs, ds_name), ms.hist_hw, ms.pattern_hw, include_pattern=arm.include_pattern
+    )
+
+
+def _test_report(model: Model, ts: TrainingSet, tc: TrainConfig) -> EvalReport:
+    """Metrics on the test partition that ``train`` held out."""
+    _tr, _va, te = split_indices(ts.order, ts.member, tc)
+    return evaluate(predict(model, batch_inputs(model, ts, te)), ts.labels[te])
 
 
 def run_arm(
@@ -341,78 +364,57 @@ def run_arm(
     out_root: Path,
 ) -> ArmOutcome:
     """Train and test one (dataset, arm) pair; saves checkpoints."""
-    ms = man.model_settings
-    member_dirs = _member_dirs(man, dirs, ds_name)
     cfg = _model_config(man, ds_name, arm)
     tc = _train_config(man, ds_name, arm)
-    ckpt_dir = out_root / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    row: dict = {
-        "dataset": ds_name,
-        "arm": arm.arm_name,
-        "model": arm.model,
-        "include_pattern": arm.include_pattern,
-        "status": "ok",
-        "error": None,
-        "threshold": 0.5,
-    }
-
+    (out_root / "checkpoints").mkdir(parents=True, exist_ok=True)
+    stem = f"checkpoints/{ds_name}__{arm.arm_name}"
+    extra: dict = {}
     if arm.model == "subchart":
+        ms = man.model_settings
         sub_ds = assemble_subchart_dataset(
-            member_dirs, ms.subchart_hw, man.render_spec, k=ms.subchart_k, stride=ms.subchart_stride
+            _member_dirs(man, dirs, ds_name), ms.subchart_hw, man.render_spec,
+            k=ms.subchart_k, stride=ms.subchart_stride,
         )
-        result: SubchartPipelineResult = train_subchart_pipeline(sub_ds, tc, cfg)
-        _tr, _va, te = split_indices(sub_ds.order, sub_ds.member, tc)
-        probs = predict(result.cnn1d, np.ascontiguousarray(
-            result.cae.encode(
-                sub_ds.subcharts[te].reshape((-1,) + sub_ds.subcharts.shape[2:])
-            ).reshape(len(te), -1, cfg.latent_dim).transpose(0, 2, 1)
-        ))
-        rep = evaluate(probs, sub_ds.labels[te])
-        cae_rel = f"checkpoints/{ds_name}__{arm.arm_name}__cae.ckpt"
-        clf_rel = f"checkpoints/{ds_name}__{arm.arm_name}__cnn1d.ckpt"
-        save_arrays(out_root / cae_rel, result.cae.arrays())
-        save_arrays(out_root / clf_rel, result.cnn1d.arrays())
-        row.update(
-            {
-                "n_samples": len(sub_ds.labels),
-                "n_train": result.report.n_train,
-                "n_val": result.report.n_val,
-                "n_test": result.report.n_test,
-                "class_balance": _class_balance(sub_ds.labels),
-                "metrics": {"accuracy": rep.accuracy, "f1": rep.f1, "auc": rep.auc},
-                "checkpoints": [cae_rel, clf_rel],
-                "cae_mse_first": result.cae_epoch_mse[0],
-                "cae_mse_final": result.cae_epoch_mse[-1],
-            }
-        )
-        return ArmOutcome(row=row, train_report=result.report)
-
-    ts = assemble_training_set(
-        member_dirs, ms.hist_hw, ms.pattern_hw, include_pattern=arm.include_pattern
-    )
-    model = build_model(cfg)
-    report = train(model, ts, tc)
-    _tr, _va, te = split_indices(ts.order, ts.member, tc)
-    if arm.model == "two_stream":
-        test_inputs = (ts.inputs[te], ts.pattern[te])
+        result = train_subchart_pipeline(sub_ds, tc, cfg)
+        model, ts, report = result.cnn1d, result.training_set, result.report
+        saved = {f"{stem}__cae.ckpt": result.cae, f"{stem}__cnn1d.ckpt": model}
+        extra = {"cae_mse_first": result.cae_epoch_mse[0], "cae_mse_final": result.cae_epoch_mse[-1]}
     else:
-        test_inputs = ts.inputs[te]
-    rep = evaluate(predict(model, test_inputs), ts.labels[te])
-    ckpt_rel = f"checkpoints/{ds_name}__{arm.arm_name}.ckpt"
-    save_arrays(out_root / ckpt_rel, model.arrays())
-    row.update(
-        {
-            "n_samples": len(ts),
-            "n_train": report.n_train,
-            "n_val": report.n_val,
-            "n_test": report.n_test,
-            "class_balance": _class_balance(ts.labels),
-            "metrics": {"accuracy": rep.accuracy, "f1": rep.f1, "auc": rep.auc},
-            "checkpoints": [ckpt_rel],
-        }
+        ts = _training_set(man, dirs, ds_name, arm)
+        model = build_model(cfg)
+        report = train(model, ts, tc)
+        saved = {f"{stem}.ckpt": model}
+    rep = _test_report(model, ts, tc)
+    for rel, m in saved.items():
+        save_arrays(out_root / rel, m.arrays())
+    strong = int(np.sum(ts.labels == 1.0))
+    row = _arm_row(
+        ds_name,
+        arm,
+        threshold=rep.threshold,
+        n_samples=len(ts),
+        n_train=report.n_train,
+        n_val=report.n_val,
+        n_test=report.n_test,
+        class_balance={"strong": strong, "weak": len(ts) - strong},
+        metrics={"accuracy": rep.accuracy, "f1": rep.f1, "auc": rep.auc},
+        checkpoints=list(saved),
+        **extra,
     )
     return ArmOutcome(row=row, train_report=report)
+
+
+def evaluate_checkpoint(
+    man: ExperimentManifest, ds_name: str, arm: ArmSpec, checkpoint: str | Path
+) -> EvalReport:
+    """Test-partition metrics of saved classifier weights, split as :func:`run_arm` does."""
+    if arm.model == "subchart":
+        raise ManifestError("eval supports mini_cnn/two_stream arms; rerun subchart arms via train")
+    arrays = load_arrays(checkpoint)
+    ts = _training_set(man, ensure_datasets(man), ds_name, arm)
+    model = build_model(_model_config(man, ds_name, arm))
+    model.set_arrays(arrays)
+    return _test_report(model, ts, _train_config(man, ds_name, arm))
 
 
 @dataclass
@@ -448,30 +450,12 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
         )
         for arm in man.arms:
             if broken is not None:
-                rows.append(
-                    {
-                        "dataset": ds.name,
-                        "arm": arm.arm_name,
-                        "model": arm.model,
-                        "include_pattern": arm.include_pattern,
-                        "status": "error",
-                        "error": broken,
-                    }
-                )
+                rows.append(_arm_row(ds.name, arm, error=broken))
                 continue
             try:
                 rows.append(run_arm(man, dirs, ds.name, arm, out_root).row)
             except Exception as exc:  # per-arm isolation
-                rows.append(
-                    {
-                        "dataset": ds.name,
-                        "arm": arm.arm_name,
-                        "model": arm.model,
-                        "include_pattern": arm.include_pattern,
-                        "status": "error",
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
+                rows.append(_arm_row(ds.name, arm, error=f"{type(exc).__name__}: {exc}"))
 
     report = ExperimentReport(
         rows=rows,

@@ -1,14 +1,18 @@
 """Model zoo: MiniCNN, two-stream CNN, CAE, CNN1D, training, and metrics.
 
+Every model is a :class:`Model`: one ``Sequential`` tower per input stream,
+whose flat outputs are concatenated and fed to an optional head. ``forward``
+takes a tuple of arrays, one per tower.
+
 MiniCNN is B blocks of [Conv3x3, ReLU, Conv3x3, ReLU, MaxPool2x2] with the
 given channel widths, then Flatten -> Dense -> ReLU -> Dense(1) -> Sigmoid;
 the single output is the predicted strength probability. The two-stream
 model runs one such tower on the history chart and an independent tower on
 the pattern crop, concatenates the flattened features, and fuses them with
-the same dense head. The CAE compresses 3-channel sub-chart images to a
-latent vector and mirrors back up with nearest-neighbor upsampling; CNN1D
-classifies the per-window sequence of latent vectors and uses half the
-MiniCNN block count (rounded up).
+the same dense head. The CAE's tower compresses 3-channel sub-chart images
+to a latent vector and its head mirrors back up with nearest-neighbor
+upsampling; CNN1D classifies the per-window sequence of latent vectors and
+uses half the MiniCNN block count (rounded up).
 
 Splits are chronological by default: samples sorted by their series index,
 train first, validation next, test last, so there is no look-ahead
@@ -145,90 +149,97 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     return shape
 
 
-class MiniCNN:
+class Model:
+    """One ``Sequential`` tower per input stream, plus an optional head.
+
+    A single-unit output comes back as ``(N,)``. Checkpoint order is the
+    towers in turn, then the head.
+    """
+
+    def __init__(self, cfg: ModelConfig, towers: tuple[Sequential, ...],
+                 head: Sequential | None = None) -> None:
+        self.cfg = cfg
+        self.towers = towers
+        self.head = head
+        self.parts = towers if head is None else towers + (head,)
+        self.output_shape = self.parts[-1].output_shape
+
+    def forward(self, inputs: tuple[np.ndarray, ...]):
+        if not isinstance(inputs, tuple) or len(inputs) != len(self.towers):
+            raise ShapeMismatch(f"{type(self).__name__} takes a tuple of {len(self.towers)} arrays")
+        outs, caches = [], []
+        for tower, x in zip(self.towers, inputs):
+            y, cache = tower.forward(x)
+            outs.append(y)
+            caches.append(cache)
+        y = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+        if self.head is not None:
+            y, cache = self.head.forward(y)
+            caches.append(cache)
+        return (y.reshape(-1) if self.output_shape == (1,) else y), caches
+
+    def backward(self, grad: np.ndarray, caches) -> None:
+        grad = grad.reshape((-1,) + self.output_shape)
+        if self.head is not None:
+            grad = self.head.backward(grad, caches[-1])
+        cuts = np.cumsum([t.output_shape[0] for t in self.towers])[:-1]
+        for tower, g, cache in zip(self.towers, np.split(grad, cuts, axis=1), caches):
+            tower.backward(g, cache)
+
+    def trainable(self):
+        return [p for part in self.parts for p in part.trainable()]
+
+    def arrays(self):
+        return [a for part in self.parts for a in part.arrays()]
+
+    def set_arrays(self, arrays) -> None:
+        counts = [len(part.arrays()) for part in self.parts]
+        if sum(counts) != len(arrays):
+            raise ShapeMismatch(f"expected {sum(counts)} arrays, got {len(arrays)}")
+        start = 0
+        for part, n in zip(self.parts, counts):
+            part.set_arrays(arrays[start : start + n])
+            start += n
+
+
+def _dense_head(n_in: int, fc_dim: int) -> list:
+    return [Dense(n_in, fc_dim), ReLU(), Dense(fc_dim, 1), Sigmoid()]
+
+
+class MiniCNN(Model):
     variant = "mini_cnn"
 
     def __init__(self, cfg: ModelConfig) -> None:
-        self.cfg = cfg
         tower = _tower_specs(cfg.input_shape[0], cfg.block_widths)
-        self.tower_len = len(tower)
         flat = _chain_shape(tower, cfg.input_shape)[0]
-        specs = tower + [Dense(flat, cfg.fc_dim), ReLU(), Dense(cfg.fc_dim, 1), Sigmoid()]
-        self.net = Sequential(specs, cfg.input_shape, derive_seed(cfg.seed, "mini_cnn"))
-
-    def forward(self, x: np.ndarray):
-        y, caches = self.net.forward(x)
-        return y.reshape(-1), caches
-
-    def backward(self, grad: np.ndarray, caches) -> None:
-        self.net.backward(grad.reshape(-1, 1), caches)
-
-    def trainable(self):
-        return self.net.trainable()
-
-    def arrays(self):
-        return self.net.arrays()
-
-    def set_arrays(self, arrays) -> None:
-        self.net.set_arrays(arrays)
+        net = Sequential(tower + _dense_head(flat, cfg.fc_dim), cfg.input_shape,
+                         derive_seed(cfg.seed, "mini_cnn"))
+        super().__init__(cfg, (net,))
 
 
-class TwoStream:
+class TwoStream(Model):
     variant = "two_stream"
 
     def __init__(self, cfg: ModelConfig) -> None:
-        self.cfg = cfg
-        self.hist_tower = Sequential(
+        hist = Sequential(
             _tower_specs(cfg.input_shape[0], cfg.block_widths),
             cfg.input_shape,
             derive_seed(cfg.seed, "two_stream.hist"),
         )
-        self.pattern_tower = Sequential(
+        pattern = Sequential(
             _tower_specs(cfg.pattern_shape[0], cfg.pattern_widths),
             cfg.pattern_shape,
             derive_seed(cfg.seed, "two_stream.pattern"),
         )
-        self.hist_features = self.hist_tower.output_shape[0]
-        pat_features = self.pattern_tower.output_shape[0]
-        self.head = Sequential(
-            [Dense(self.hist_features + pat_features, cfg.fc_dim), ReLU(), Dense(cfg.fc_dim, 1), Sigmoid()],
-            (self.hist_features + pat_features,),
-            derive_seed(cfg.seed, "two_stream.head"),
-        )
-
-    def forward(self, batch):
-        x_hist, x_pat = batch
-        f_hist, c_hist = self.hist_tower.forward(x_hist)
-        f_pat, c_pat = self.pattern_tower.forward(x_pat)
-        fused = np.concatenate([f_hist, f_pat], axis=1)
-        y, c_head = self.head.forward(fused)
-        return y.reshape(-1), (c_hist, c_pat, c_head)
-
-    def backward(self, grad: np.ndarray, caches) -> None:
-        c_hist, c_pat, c_head = caches
-        d_fused = self.head.backward(grad.reshape(-1, 1), c_head)
-        self.hist_tower.backward(d_fused[:, : self.hist_features], c_hist)
-        self.pattern_tower.backward(d_fused[:, self.hist_features :], c_pat)
-
-    def trainable(self):
-        return self.hist_tower.trainable() + self.pattern_tower.trainable() + self.head.trainable()
-
-    def arrays(self):
-        return self.hist_tower.arrays() + self.pattern_tower.arrays() + self.head.arrays()
-
-    def set_arrays(self, arrays) -> None:
-        n_h = len(self.hist_tower.arrays())
-        n_p = len(self.pattern_tower.arrays())
-        self.hist_tower.set_arrays(arrays[:n_h])
-        self.pattern_tower.set_arrays(arrays[n_h : n_h + n_p])
-        self.head.set_arrays(arrays[n_h + n_p :])
+        fused = hist.output_shape[0] + pattern.output_shape[0]
+        head = Sequential(_dense_head(fused, cfg.fc_dim), (fused,), derive_seed(cfg.seed, "two_stream.head"))
+        super().__init__(cfg, (hist, pattern), head)
 
 
-class CAEModel:
+class CAEModel(Model):
     variant = "cae"
 
     def __init__(self, cfg: ModelConfig) -> None:
-        self.cfg = cfg
         c, h, w = cfg.input_shape
         w1, w2 = cfg.block_widths[0], cfg.block_widths[min(1, len(cfg.block_widths) - 1)]
         enc = [
@@ -239,50 +250,30 @@ class CAEModel:
         bottleneck_hw = (w2, h // 4, w // 4)
         flat = w2 * (h // 4) * (w // 4)
         enc.append(Dense(flat, cfg.latent_dim))
-        self.encoder = Sequential(enc, cfg.input_shape, derive_seed(cfg.seed, "cae.enc"))
+        encoder = Sequential(enc, cfg.input_shape, derive_seed(cfg.seed, "cae.enc"))
         dec = [
             Dense(cfg.latent_dim, flat), ReLU(), Reshape(bottleneck_hw),
             NearestUpsample2D(2), Conv2D(w2, w1, 3, 1, 1), ReLU(),
             NearestUpsample2D(2), Conv2D(w1, c, 3, 1, 1), Sigmoid(),
         ]
-        self.decoder = Sequential(dec, (cfg.latent_dim,), derive_seed(cfg.seed, "cae.dec"))
-        if self.decoder.output_shape != cfg.input_shape:
+        decoder = Sequential(dec, (cfg.latent_dim,), derive_seed(cfg.seed, "cae.dec"))
+        if decoder.output_shape != cfg.input_shape:
             raise ShapeMismatch(
-                f"decoder reproduces {self.decoder.output_shape}, input is {cfg.input_shape}; "
+                f"decoder reproduces {decoder.output_shape}, input is {cfg.input_shape}; "
                 "height/width must be divisible by 4"
             )
-
-    def forward(self, x: np.ndarray):
-        z, c_enc = self.encoder.forward(x)
-        recon, c_dec = self.decoder.forward(z)
-        return recon, (c_enc, c_dec)
-
-    def backward(self, grad: np.ndarray, caches) -> None:
-        c_enc, c_dec = caches
-        dz = self.decoder.backward(grad, c_dec)
-        self.encoder.backward(dz, c_enc)
+        super().__init__(cfg, (encoder,), decoder)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        out = [self.encoder.predict(x[i : i + _PREDICT_CHUNK]) for i in range(0, len(x), _PREDICT_CHUNK)]
+        encoder = self.towers[0]
+        out = [encoder.predict(x[i : i + _PREDICT_CHUNK]) for i in range(0, len(x), _PREDICT_CHUNK)]
         return np.concatenate(out, axis=0)
 
-    def trainable(self):
-        return self.encoder.trainable() + self.decoder.trainable()
 
-    def arrays(self):
-        return self.encoder.arrays() + self.decoder.arrays()
-
-    def set_arrays(self, arrays) -> None:
-        n_e = len(self.encoder.arrays())
-        self.encoder.set_arrays(arrays[:n_e])
-        self.decoder.set_arrays(arrays[n_e:])
-
-
-class CNN1DModel:
+class CNN1DModel(Model):
     variant = "cnn1d"
 
     def __init__(self, cfg: ModelConfig) -> None:
-        self.cfg = cfg
         n_blocks = math.ceil(len(cfg.block_widths) / 2)
         widths = cfg.block_widths[:n_blocks]
         specs: list = []
@@ -293,36 +284,13 @@ class CNN1DModel:
         specs.append(Flatten())
         flat = _chain_shape(specs, (cfg.latent_dim, cfg.seq_len))[0]
         specs.extend([Dense(flat, 1), Sigmoid()])
-        self.net = Sequential(specs, (cfg.latent_dim, cfg.seq_len), derive_seed(cfg.seed, "cnn1d"))
-
-    def forward(self, x: np.ndarray):
-        y, caches = self.net.forward(x)
-        return y.reshape(-1), caches
-
-    def backward(self, grad: np.ndarray, caches) -> None:
-        self.net.backward(grad.reshape(-1, 1), caches)
-
-    def trainable(self):
-        return self.net.trainable()
-
-    def arrays(self):
-        return self.net.arrays()
-
-    def set_arrays(self, arrays) -> None:
-        self.net.set_arrays(arrays)
-
-
-Model = MiniCNN | TwoStream | CAEModel | CNN1DModel
+        net = Sequential(specs, (cfg.latent_dim, cfg.seq_len), derive_seed(cfg.seed, "cnn1d"))
+        super().__init__(cfg, (net,))
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    cls = {
-        "mini_cnn": MiniCNN,
-        "two_stream": TwoStream,
-        "cae": CAEModel,
-        "cnn1d": CNN1DModel,
-    }[cfg.variant]
-    return cls(cfg)
+    classes = {cls.variant: cls for cls in (MiniCNN, TwoStream, CAEModel, CNN1DModel)}
+    return classes[cfg.variant](cfg)
 
 
 # --- evaluation -----------------------------------------------------------
@@ -399,27 +367,20 @@ def evaluate(probs, labels, threshold: float = 0.5) -> EvalReport:
     )
 
 
-def _batch_inputs(ts: TrainingSet, idx: np.ndarray, variant: str):
-    if variant == "two_stream":
-        if ts.pattern is None:
-            raise ShapeMismatch("two_stream needs a pattern stream in the training set")
-        return ts.inputs[idx], ts.pattern[idx]
-    return ts.inputs[idx]
+def batch_inputs(model: Model, ts: TrainingSet, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows ``idx`` of the first ``len(model.towers)`` streams of ``ts``."""
+    streams = (ts.inputs, ts.pattern)[: len(model.towers)]
+    if any(s is None for s in streams):
+        raise ShapeMismatch(f"{type(model).__name__} needs a pattern stream in the training set")
+    return tuple(s[idx] for s in streams)
 
 
-def predict(model: Model, inputs) -> np.ndarray:
-    """Deterministic forward pass over a batch; probabilities in (0, 1)."""
-    if model.variant == "two_stream":
-        x_hist, x_pat = inputs
-        chunks = [
-            model.forward((x_hist[i : i + _PREDICT_CHUNK], x_pat[i : i + _PREDICT_CHUNK]))[0]
-            for i in range(0, len(x_hist), _PREDICT_CHUNK)
-        ]
-    else:
-        chunks = [
-            model.forward(inputs[i : i + _PREDICT_CHUNK])[0]
-            for i in range(0, len(inputs), _PREDICT_CHUNK)
-        ]
+def predict(model: Model, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Deterministic forward pass over a tuple of input streams; probabilities in (0, 1)."""
+    chunks = [
+        model.forward(tuple(x[i : i + _PREDICT_CHUNK] for x in inputs))[0]
+        for i in range(0, len(inputs[0]), _PREDICT_CHUNK)
+    ]
     return np.concatenate(chunks, axis=0)
 
 
@@ -510,7 +471,7 @@ def _optimizer_step(model: Model, tc: TrainConfig) -> None:
 
 def _val_stats(model: Model, ts: TrainingSet, idx: np.ndarray, epoch: int,
                train_loss: float | None) -> EpochStats:
-    probs = predict(model, _batch_inputs(ts, idx, model.variant))
+    probs = predict(model, batch_inputs(model, ts, idx))
     rep = evaluate(probs, ts.labels[idx])
     return EpochStats(
         epoch=epoch,
@@ -533,7 +494,7 @@ def train(model: Model, ts: TrainingSet, tc: TrainConfig) -> TrainReport:
         losses = []
         for start in range(0, len(idx), tc.batch_size):
             batch = np.asarray(idx[start : start + tc.batch_size])
-            probs, caches = model.forward(_batch_inputs(ts, batch, model.variant))
+            probs, caches = model.forward(batch_inputs(model, ts, batch))
             value, grad = loss_bce(probs, ts.labels[batch].astype(probs.dtype))
             model.backward(grad, caches)
             _optimizer_step(model, tc)
@@ -547,15 +508,19 @@ class SubchartPipelineResult:
     cae: CAEModel
     cnn1d: CNN1DModel
     cae_epoch_mse: list[float]  # index 0 is the pre-training MSE
-    encoded_shape: tuple[int, ...]
+    training_set: TrainingSet  # every sample's encoded (latent_dim, S) sequence
     report: TrainReport
+
+    @property
+    def encoded_shape(self) -> tuple[int, ...]:
+        return tuple(self.training_set.inputs.shape)
 
 
 def _recon_mse(cae: CAEModel, images: np.ndarray) -> float:
     total = 0.0
     for i in range(0, len(images), _PREDICT_CHUNK):
         chunk = images[i : i + _PREDICT_CHUNK]
-        recon, _ = cae.forward(chunk)
+        recon, _ = cae.forward((chunk,))
         total += float(np.sum((recon - chunk) ** 2))
     return total / images.size
 
@@ -566,7 +531,8 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     Phase 1 trains the CAE on the training partition's sub-chart images
     with MSE. Phase 2 freezes the encoder, encodes every sample's sub-chart
     sequence into a (latent_dim, S) tensor, and trains CNN1D on the
-    strength labels with BCE.
+    strength labels with BCE. The result carries that encoded training
+    set, so callers slice it rather than encode again.
     """
     n, s = ds.subcharts.shape[0], ds.subcharts.shape[1]
     tr, _va, _te = split_indices(ds.order, ds.member, tc)
@@ -581,7 +547,7 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
         shuffle_rng.shuffle(idx)
         for start in range(0, len(idx), tc.batch_size):
             batch = train_imgs[np.asarray(idx[start : start + tc.batch_size])]
-            recon, caches = cae.forward(batch)
+            recon, caches = cae.forward((batch,))
             _, grad = loss_mse(recon, batch)
             cae.backward(grad, caches)
             _optimizer_step(cae, tc)
@@ -597,9 +563,5 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     cnn1d = CNN1DModel(replace(cfg, variant="cnn1d", seq_len=s))
     report = train(cnn1d, clf_ts, tc)
     return SubchartPipelineResult(
-        cae=cae,
-        cnn1d=cnn1d,
-        cae_epoch_mse=epoch_mse,
-        encoded_shape=tuple(encoded.shape),
-        report=report,
+        cae=cae, cnn1d=cnn1d, cae_epoch_mse=epoch_mse, training_set=clf_ts, report=report
     )

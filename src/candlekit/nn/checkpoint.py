@@ -13,12 +13,13 @@ save -> load is bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import MalformedHeader, TruncatedPixelData
+from ..errors import CorruptCheckpoint, MalformedHeader, SourceNotFound
 
 MAGIC = b"CKPT"
 VERSION = 1
@@ -37,6 +38,8 @@ def arrays_to_bytes(arrays: list[np.ndarray]) -> bytes:
 def bytes_to_arrays(data: bytes) -> list[np.ndarray]:
     if data[:4] != MAGIC:
         raise MalformedHeader("not a checkpoint stream")
+    if len(data) < 12:
+        raise CorruptCheckpoint("checkpoint truncated in stream header")
     version, count = struct.unpack_from("<II", data, 4)
     if version != VERSION:
         raise MalformedHeader(f"unsupported checkpoint version {version}")
@@ -44,19 +47,21 @@ def bytes_to_arrays(data: bytes) -> list[np.ndarray]:
     arrays: list[np.ndarray] = []
     for _ in range(count):
         if pos + 4 > len(data):
-            raise TruncatedPixelData("checkpoint truncated in array header")
+            raise CorruptCheckpoint("checkpoint truncated in array header")
         (ndim,) = struct.unpack_from("<I", data, pos)
         pos += 4
         if pos + 4 * ndim > len(data):
-            raise TruncatedPixelData("checkpoint truncated in dims")
+            raise CorruptCheckpoint("checkpoint truncated in dims")
         dims = struct.unpack_from(f"<{ndim}I", data, pos)
         pos += 4 * ndim
-        n_bytes = 4 * int(np.prod(dims)) if ndim else 4
+        n_bytes = 4 * math.prod(dims)
         if pos + n_bytes > len(data):
-            raise TruncatedPixelData("checkpoint truncated in values")
+            raise CorruptCheckpoint("checkpoint truncated in values")
         arr = np.frombuffer(data[pos : pos + n_bytes], dtype="<f4").reshape(dims).copy()
         arrays.append(arr)
         pos += n_bytes
+    if pos != len(data):
+        raise CorruptCheckpoint(f"{len(data) - pos} bytes after the last checkpoint array")
     return arrays
 
 
@@ -65,4 +70,8 @@ def save_arrays(path: str | Path, arrays: list[np.ndarray]) -> None:
 
 
 def load_arrays(path: str | Path) -> list[np.ndarray]:
-    return bytes_to_arrays(Path(path).read_bytes())
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise SourceNotFound(f"checkpoint not found: {path}") from exc
+    return bytes_to_arrays(data)

@@ -8,12 +8,8 @@ from ..errors import NonFiniteValue, ShapeMismatch
 from ..rng import SplitMix64
 from .layers import LayerSpec, Params, backward, forward, init_params, output_shape
 
-# Every forward/backward result is checked for NaN/Inf unless disabled.
-FINITE_CHECKS = True
-
-
 def _check_finite(a: np.ndarray, where: str) -> None:
-    if FINITE_CHECKS and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise NonFiniteValue(f"non-finite values after {where}")
 
 

@@ -256,6 +256,47 @@ class TestCli:
         env = json.loads((tmp_path / "o1" / "report.json").read_text())["environment"]
         assert env["master_seed"] == 7
 
+    def _tiny_manifest(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["datasets"] = [{"name": "alpha", "synth": {"n": 320}}]
+        doc["arms"].append({"arm_name": "sub", "model": "subchart"})
+        doc["output_dir"] = str(tmp_path / "out")
+        man_path = tmp_path / "man.json"
+        man_path.write_text(json.dumps(doc))
+        return man_path
+
+    @pytest.mark.parametrize("arm", ["with_pattern", "non_pattern"])
+    def test_eval_reproduces_train_metrics(self, tmp_path, capsys, arm):
+        man_path = self._tiny_manifest(tmp_path)
+        common = ["--manifest", str(man_path), "--dataset", "alpha", "--arm", arm]
+        assert cli_main(["train", *common]) == 0
+        row = json.loads((tmp_path / "out" / "train" / f"alpha__{arm}" / "row.json").read_text())
+        capsys.readouterr()
+        ckpt = tmp_path / "out" / row["checkpoints"][0]
+        assert cli_main(["eval", *common, "--checkpoint", str(ckpt)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert {k: rep[k] for k in ("accuracy", "f1", "auc")} == row["metrics"]
+        with ckpt.open("ab") as f:  # trailing bytes after the last array
+            f.write(b"\x00")
+        assert cli_main(["eval", *common, "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("arm,checkpoint", [
+        ("sub", None),
+        ("non_pattern", b"CKPT\x01\x00"),
+        ("non_pattern", None),
+    ])
+    def test_eval_errors_exit_2(self, tmp_path, capsys, arm, checkpoint):
+        # a subchart arm, a 6-byte checkpoint, a checkpoint path with no file
+        ckpt = tmp_path / "model.ckpt"
+        if checkpoint is not None:
+            ckpt.write_bytes(checkpoint)
+        man_path = self._tiny_manifest(tmp_path)
+        argv = ["eval", "--manifest", str(man_path), "--dataset", "alpha", "--arm", arm,
+                "--checkpoint", str(ckpt)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_report_subcommand_rerenders(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["datasets"] = [{"name": "alpha", "synth": {"n": 320}}]

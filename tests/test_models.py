@@ -53,10 +53,10 @@ class TestBuildModel:
     def test_mini_cnn_shape_trace(self):
         cfg = ModelConfig(variant="mini_cnn", input_shape=(3, 64, 64), block_widths=(8, 16, 32))
         m = MiniCNN(cfg)
-        spatial = [s for s in m.net.shapes if len(s) == 3]
+        spatial = [s for s in m.towers[0].shapes if len(s) == 3]
         assert spatial[0] == (3, 64, 64)
         assert spatial[-1] == (32, 8, 8)
-        assert m.net.shapes[m.tower_len] == (2048,)
+        assert m.towers[0].shapes[5 * len(cfg.block_widths) + 1] == (2048,)
 
     def test_two_stream_output_in_unit_interval(self):
         m = TwoStream(TS_CFG)
@@ -77,7 +77,7 @@ class TestBuildModel:
 
         cfg = ModelConfig(variant="cnn1d", block_widths=(8, 16, 32), latent_dim=8, seq_len=28)
         m = build_model(cfg)
-        conv_blocks = [s for s in m.net.specs if isinstance(s, Conv1D)]
+        conv_blocks = [s for s in m.towers[0].specs if isinstance(s, Conv1D)]
         assert len(conv_blocks) == 2  # ceil(3 / 2)
 
     def test_bad_variant(self):
@@ -215,8 +215,8 @@ class TestPredict:
     def test_range_and_determinism(self):
         ts = random_training_set(seed=5)
         model = MiniCNN(SMALL_CFG)
-        a = predict(model, ts.inputs)
-        b = predict(model, ts.inputs)
+        a = predict(model, (ts.inputs,))
+        b = predict(model, (ts.inputs,))
         assert np.array_equal(a, b)
         assert ((a > 0) & (a < 1)).all()
 
@@ -227,10 +227,10 @@ class TestTwoStreamConsistency:
         mini = MiniCNN(SMALL_CFG)
         # share tower weights, then wire the fusion layer so the pattern
         # features get zero weight
-        two.hist_tower.set_arrays(mini.net.arrays()[: len(two.hist_tower.arrays())])
-        mini_head = mini.net.arrays()[len(two.hist_tower.arrays()) :]
+        two.towers[0].set_arrays(mini.towers[0].arrays()[: len(two.towers[0].arrays())])
+        mini_head = mini.towers[0].arrays()[len(two.towers[0].arrays()) :]
         d1_w, d1_b, d2_w, d2_b = mini_head
-        f_h = two.hist_features
+        f_h = two.towers[0].output_shape[0]
         fused_w = np.zeros_like(two.head.params[0].weight)
         fused_w[:f_h] = d1_w
         two.head.params[0].weight[...] = fused_w
@@ -242,7 +242,7 @@ class TestTwoStreamConsistency:
         x_h = rng.random((6, 3, 16, 16), dtype=np.float32)
         x_p = rng.random((6, 3, 8, 8), dtype=np.float32)
         p_two, _ = two.forward((x_h, x_p))
-        p_mini, _ = mini.forward(x_h)
+        p_mini, _ = mini.forward((x_h,))
         assert np.max(np.abs(p_two - p_mini)) < 1e-6
 
     def test_pattern_stream_is_live(self):
@@ -253,7 +253,7 @@ class TestTwoStreamConsistency:
         probs, caches = two.forward((ts.inputs, ts.pattern))
         _, grad = loss_bce(probs, ts.labels)
         two.backward(grad, caches)
-        norms = [float(np.abs(p.grad_w).sum()) for p in two.pattern_tower.trainable()]
+        norms = [float(np.abs(p.grad_w).sum()) for p in two.towers[1].trainable()]
         assert all(n > 0 for n in norms)
 
 

@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from candlekit import nn
 from candlekit.errors import (
+    CorruptCheckpoint,
     InvalidShape,
     MalformedHeader,
     NonFiniteValue,
@@ -237,3 +239,7 @@ class TestCheckpoint:
         good = nn.arrays_to_bytes([np.zeros(4, dtype=np.float32)])
         with pytest.raises(TruncatedPixelData):
             nn.bytes_to_arrays(good[:-3])
+        overflowing_dims = good[:12] + struct.pack("<5I", 4, 2**16, 2**16, 2**16, 2**16)
+        for data in (good[:6], good + b"\x00", overflowing_dims):
+            with pytest.raises(CorruptCheckpoint):
+                nn.bytes_to_arrays(data)
