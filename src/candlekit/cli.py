@@ -16,11 +16,12 @@ from .decompose import subcharts
 from .errors import CandlekitError, ManifestError
 from .experiment import (
     ExperimentManifest,
-    ExperimentReport,
     build_dataset,
     ensure_datasets,
     evaluate_checkpoint,
     load_manifest,
+    load_report,
+    read_input,
     render_report,
     run_arm,
     run_experiment,
@@ -55,7 +56,7 @@ def _require_manifest(args) -> ExperimentManifest:
 
 def _series_from_args(args, man: ExperimentManifest | None) -> Series:
     if args.csv is not None:
-        return parse_csv(args.csv.read_text(), symbol=args.symbol or args.csv.stem)
+        return parse_csv(read_input(args.csv, "csv"), symbol=args.symbol or args.csv.stem)
     if args.synth is not None:
         seed = args.seed if args.seed is not None else (man.master_seed if man else 0)
         return synth_series(seed, args.synth, symbol=args.symbol)
@@ -105,7 +106,7 @@ def _cmd_render(args) -> int:
 def _cmd_decompose(args) -> int:
     man = _manifest(args)
     spec = man.render_spec if man else RenderSpec()
-    img = read_ppm(args.image.read_bytes())
+    img = read_ppm(read_input(args.image, "image", Path.read_bytes))
     out_dir = args.out_dir or args.image.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, crop in enumerate(subcharts(img, spec, k=args.k, stride=args.stride)):
@@ -153,9 +154,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    doc = json.loads(args.report_json.read_text())
-    report = ExperimentReport(rows=doc["rows"], environment=doc["environment"])
-    md, _js = render_report(report)
+    md, _js = render_report(load_report(args.report_json))
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         (args.out_dir / "report.md").write_text(md)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
-from .errors import EmptyDataset, ManifestError, SourceNotFound
+from .errors import BadSpec, EmptyDataset, ManifestError, SourceNotFound
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
@@ -104,28 +104,38 @@ class ExperimentManifest:
     base_dir: Path = Path(".")
 
 
-def _build_dc(cls, payload: dict, what: str):
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is not an int); ManifestError otherwise."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ManifestError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _build_dc(cls, payload, what: str, *list_keys: str):
+    """``cls(**payload)`` with the lists under ``list_keys`` made tuples."""
+    payload = {
+        k: tuple(v) if k in list_keys and isinstance(v, list) else v
+        for k, v in _expect(payload, dict, f"{what} section").items()
+    }
     try:
         return cls(**payload)
     except TypeError as exc:
         raise ManifestError(f"bad {what} section: {exc}") from exc
 
 
-def _tupled(d: dict, *keys: str) -> dict:
-    out = dict(d)
-    for k in keys:
-        if k in out and isinstance(out[k], list):
-            out[k] = tuple(out[k])
-    return out
-
-
 def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManifest:
-    if "master_seed" not in doc:
+    """Manifest from a parsed JSON document.
+
+    Missing or duplicate names, wrong types for the document, its lists,
+    entries, sections, seed and synth ``n``, and a render spec that fails
+    ``RenderSpec.validate`` raise ManifestError here rather than mid-run.
+    """
+    if "master_seed" not in _expect(doc, dict, "manifest"):
         raise ManifestError("manifest must carry a master_seed")
     datasets: list[DatasetSpec] = []
     names: set[str] = set()
-    for entry in doc.get("datasets", []):
-        name = entry.get("name")
+    for entry in _expect(doc.get("datasets", []), list, "datasets"):
+        name = _expect(entry, dict, "dataset entry").get("name")
         if not name or name in names:
             raise ManifestError(f"dataset entries need unique names, got {name!r}")
         names.add(name)
@@ -137,15 +147,15 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         if "csv_path" in entry:
             datasets.append(DatasetSpec(name=name, csv_path=entry["csv_path"]))
         elif "synth" in entry:
-            synth = dict(entry["synth"])
+            synth = dict(_expect(entry["synth"], dict, f"dataset {name!r} synth"))
             n = synth.pop("n", 0)
-            if n < 1:
+            if _expect(n, int, f"dataset {name!r} synth n") < 1:
                 raise ManifestError(f"dataset {name!r} synth spec needs n >= 1")
             datasets.append(
                 DatasetSpec(name=name, synth=_build_dc(SynthParams, synth, name), synth_n=n)
             )
         else:
-            members = tuple(entry["members"])
+            members = tuple(_expect(entry["members"], list, f"merge dataset {name!r} members"))
             if not members:
                 raise ManifestError(f"merge dataset {name!r} has no members")
             datasets.append(DatasetSpec(name=name, members=members))
@@ -159,7 +169,8 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
 
     arms: list[ArmSpec] = []
     arm_names: set[str] = set()
-    for entry in doc.get("arms", []):
+    for entry in _expect(doc.get("arms", []), list, "arms"):
+        _expect(entry, dict, "arm entry")
         arm = ArmSpec(
             arm_name=entry.get("arm_name", ""),
             model=entry.get("model", "mini_cnn"),
@@ -173,40 +184,49 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         arms.append(arm)
     if not arms:
         raise ManifestError("manifest declares no arms")
+    render_spec = _build_dc(
+        RenderSpec, doc.get("render", {}), "render",
+        "up_color", "down_color", "wick_color", "background", "annotation_tint",
+    )
+    try:
+        render_spec.validate()
+    except (BadSpec, TypeError) as exc:
+        raise ManifestError(f"bad render section: {exc}") from exc
 
     return ExperimentManifest(
-        master_seed=int(doc["master_seed"]),
+        master_seed=_expect(doc["master_seed"], int, "master_seed"),
         output_dir=doc.get("output_dir", "out"),
         datasets=datasets,
         arms=arms,
         pattern_params=_build_dc(PatternRuleParams, doc.get("pattern", {}), "pattern"),
         labeler_params=_build_dc(LabelerParams, doc.get("labeler", {}), "labeler"),
-        render_spec=_build_dc(
-            RenderSpec,
-            _tupled(
-                doc.get("render", {}),
-                "up_color", "down_color", "wick_color", "background", "annotation_tint",
-            ),
-            "render",
-        ),
+        render_spec=render_spec,
         train_config=_build_dc(TrainConfig, doc.get("train", {}), "train"),
         model_settings=_build_dc(
-            ModelSettings,
-            _tupled(
-                doc.get("model", {}),
-                "hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths",
-            ),
-            "model",
+            ModelSettings, doc.get("model", {}), "model",
+            "hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths",
         ),
         base_dir=Path(base_dir),
     )
 
 
+def read_input(path: str | Path, what: str, read=Path.read_text):
+    """``read(path)`` for an input file; SourceNotFound when it cannot be read."""
+    try:
+        return read(Path(path))
+    except OSError as exc:
+        raise SourceNotFound(f"{what} not found: {path}") from exc
+
+
+def _read_json(path: str | Path, what: str):
+    try:
+        return json.loads(read_input(path, what))
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> ExperimentManifest:
-    path = Path(path)
-    if not path.exists():
-        raise SourceNotFound(f"manifest not found: {path}")
-    return manifest_from_dict(json.loads(path.read_text()), base_dir=path.parent)
+    return manifest_from_dict(_read_json(path, "manifest"), base_dir=Path(path).parent)
 
 
 def _resolve_series(man: ExperimentManifest, ds: DatasetSpec) -> Series:
@@ -214,9 +234,7 @@ def _resolve_series(man: ExperimentManifest, ds: DatasetSpec) -> Series:
         path = Path(ds.csv_path)
         if not path.is_absolute():
             path = man.base_dir / path
-        if not path.exists():
-            raise SourceNotFound(f"csv for dataset {ds.name!r} not found: {path}")
-        return parse_csv(path.read_text(), symbol=ds.name)
+        return parse_csv(read_input(path, f"csv for dataset {ds.name!r}"), symbol=ds.name)
     seed = derive_seed(man.master_seed, f"dataset:{ds.name}")
     return synth_series(seed, ds.synth_n, ds.synth, symbol=ds.name)
 
@@ -427,6 +445,14 @@ class ExperimentReport:
 
     def all_ok(self) -> bool:
         return all(r["status"] == "ok" for r in self.rows)
+
+
+def load_report(path: str | Path) -> ExperimentReport:
+    """Read back the ``report.json`` that :func:`run_experiment` writes."""
+    doc = _read_json(path, "report")
+    if not isinstance(doc, dict) or not {"rows", "environment"} <= doc.keys():
+        raise ManifestError(f"report {path} needs 'rows' and 'environment'")
+    return ExperimentReport(rows=doc["rows"], environment=doc["environment"])
 
 
 def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -> ExperimentReport:

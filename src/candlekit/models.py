@@ -16,9 +16,8 @@ uses half the MiniCNN block count (rounded up).
 
 Splits are chronological by default: samples sorted by their series index,
 train first, validation next, test last, so there is no look-ahead
-leakage. Merged
-datasets split chronologically within each member and concatenate the
-partitions.
+leakage. Merged datasets split chronologically within each member and
+concatenate the partitions.
 """
 
 from __future__ import annotations

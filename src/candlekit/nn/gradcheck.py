@@ -10,39 +10,36 @@ difference quotient is taken on a smooth branch.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import BadSpec
 from ..rng import Rng, derive_seed
 from .layers import (
-    Conv1D,
-    Conv2D,
+    _CONV,
+    _POOL,
     Dense,
-    Flatten,
     LayerSpec,
-    MaxPool1D,
-    MaxPool2D,
     NearestUpsample2D,
     ReLU,
     Reshape,
-    Sigmoid,
+    _pool_windows,
     backward,
     forward,
     init_params,
 )
 from .losses import loss_bce, loss_mse
 
+_SPATIAL = {1: (10,), 2: (6, 6)}
+
 
 def default_input_shape(spec: LayerSpec) -> tuple[int, ...]:
     """Small batched input shape suited to each layer type."""
-    if isinstance(spec, Conv2D):
-        return (1, spec.in_ch, 6, 6)
-    if isinstance(spec, Conv1D):
-        return (1, spec.in_ch, 10)
-    if isinstance(spec, MaxPool2D):
-        return (1, 2, 6, 6)
-    if isinstance(spec, MaxPool1D):
-        return (1, 2, 10)
+    if isinstance(spec, _CONV):
+        return (1, spec.in_ch) + _SPATIAL[spec.rank]
+    if isinstance(spec, _POOL):
+        return (1, 2) + _SPATIAL[spec.rank]
     if isinstance(spec, Dense):
         return (2, spec.n_in)
     if isinstance(spec, NearestUpsample2D):
@@ -53,9 +50,7 @@ def default_input_shape(spec: LayerSpec) -> tuple[int, ...]:
 
 
 def _uniform_array(rng: Rng, shape: tuple[int, ...]) -> np.ndarray:
-    return np.array(
-        [2.0 * rng.uniform() - 1.0 for _ in range(int(np.prod(shape)))], dtype=np.float64
-    ).reshape(shape)
+    return (2.0 * rng.uniforms(math.prod(shape)) - 1.0).reshape(shape)
 
 
 def _avoid_relu_kink(x: np.ndarray, h: float) -> np.ndarray:
@@ -65,16 +60,8 @@ def _avoid_relu_kink(x: np.ndarray, h: float) -> np.ndarray:
     return np.where(near, sign * margin, x)
 
 
-def _pool_windows_ok(spec: MaxPool2D | MaxPool1D, x: np.ndarray, h: float) -> bool:
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    k, s = spec.k, spec.stride
-    if isinstance(spec, MaxPool2D):
-        v = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        flat = v.reshape(*v.shape[:4], -1)
-    else:
-        flat = sliding_window_view(x, k, axis=2)[:, :, ::s]
-    top2 = np.sort(flat, axis=-1)[..., -2:]
+def _pool_windows_ok(spec, x: np.ndarray, h: float) -> bool:
+    top2 = np.sort(_pool_windows(spec, x), axis=-1)[..., -2:]
     return bool((top2[..., 1] - top2[..., 0] > 10.0 * h).all())
 
 
@@ -84,12 +71,29 @@ def _sample_input(spec: LayerSpec, seed: int, h: float, shape: tuple[int, ...]) 
         x = _uniform_array(rng, shape)
         if isinstance(spec, ReLU):
             return _avoid_relu_kink(x, h)
-        if isinstance(spec, (MaxPool2D, MaxPool1D)):
-            if _pool_windows_ok(spec, x, h):
-                return x
-            continue
-        return x
+        if not isinstance(spec, _POOL) or _pool_windows_ok(spec, x, h):
+            return x
     raise BadSpec(f"could not sample a kink-free input for {spec} after 100 tries")
+
+
+def _max_rel_error(objective, targets, analytic, h: float) -> float:
+    """Max relative error of each analytic gradient vs central differences of
+    ``objective`` over every element of the matching target array."""
+    max_err = 0.0
+    for arr, grad in zip(targets, analytic):
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            f_plus = objective()
+            flat[i] = orig - h
+            f_minus = objective()
+            flat[i] = orig
+            fd = (f_plus - f_minus) / (2.0 * h)
+            err = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-8)
+            max_err = max(max_err, err)
+    return max_err
 
 
 def grad_check(
@@ -118,49 +122,23 @@ def grad_check(
         out, _ = forward(spec, params, x)
         return float(np.sum(out * g_out))
 
-    max_err = 0.0
     targets = [x] + ([params.weight, params.bias] if params.has_params else [])
-    for arr, grad in zip(targets, analytic):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = objective()
-            flat[i] = orig - h
-            f_minus = objective()
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
-            err = abs(gflat[i] - fd) / max(abs(gflat[i]), abs(fd), 1e-8)
-            max_err = max(max_err, err)
-    return max_err
+    return _max_rel_error(objective, targets, analytic, h)
 
 
 def grad_check_loss(kind: str, seed: int, h: float = 1e-5, n: int = 16) -> float:
     """Finite-difference check of a loss gradient ('bce' or 'mse')."""
     rng = Rng(derive_seed(seed, f"loss-{kind}"))
     if kind == "bce":
-        probs = np.array([0.05 + 0.9 * rng.uniform() for _ in range(n)])
-        targets = np.array([float(rng.uniform() < 0.5) for _ in range(n)])
-        fn = lambda p: loss_bce(p, targets)  # noqa: E731
-        x = probs
+        x = 0.05 + 0.9 * rng.uniforms(n)
+        targets = (rng.uniforms(n) < 0.5).astype(np.float64)
+        loss = loss_bce
     elif kind == "mse":
         x = _uniform_array(rng, (n,))
         targets = _uniform_array(rng, (n,))
-        fn = lambda p: loss_mse(p, targets)  # noqa: E731
+        loss = loss_mse
     else:
         raise BadSpec(f"unknown loss kind {kind!r}")
 
-    _, grad = fn(x)
-    max_err = 0.0
-    for i in range(x.size):
-        orig = x[i]
-        x[i] = orig + h
-        f_plus, _ = fn(x)
-        x[i] = orig - h
-        f_minus, _ = fn(x)
-        x[i] = orig
-        fd = (f_plus - f_minus) / (2.0 * h)
-        err = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
-        max_err = max(max_err, err)
-    return max_err
+    _, grad = loss(x, targets)
+    return _max_rel_error(lambda: loss(x, targets)[0], [x], [grad], h)

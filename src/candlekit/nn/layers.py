@@ -6,6 +6,10 @@ flip) with zero padding; max-pool ties break to the first index in
 row-major window order so the backward routing is deterministic. Training
 runs in float32; gradient checking builds float64 parameters.
 
+Convolution and max-pool have one implementation for 1-D and 2-D: the
+spec classes differ only in their ``rank`` (the number of spatial axes),
+and every pass slides one k^rank window over the trailing axes.
+
 Output dims follow floor((in + 2*pad - kernel) / stride) + 1; a stack that
 would reach a nonpositive dim fails at build time with InvalidShape rather
 than at some later forward pass.
@@ -13,8 +17,10 @@ than at some later forward pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,6 +36,7 @@ class Conv2D:
     kernel: int
     stride: int = 1
     pad: int = 0
+    rank: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
@@ -39,18 +46,21 @@ class Conv1D:
     kernel: int
     stride: int = 1
     pad: int = 0
+    rank: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
 class MaxPool2D:
     k: int
     stride: int
+    rank: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
 class MaxPool1D:
     k: int
     stride: int
+    rank: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -98,42 +108,37 @@ LayerSpec = (
 )
 
 
+_CONV = (Conv1D, Conv2D)
+_POOL = (MaxPool1D, MaxPool2D)
+
+
 def _out_dim(n: int, k: int, s: int, p: int) -> int:
     return (n + 2 * p - k) // s + 1
 
 
+def _window_dims(spec, spatial: tuple[int, ...], k: int, s: int, p: int, error) -> tuple:
+    """Output spatial dims of a k-wide window at stride s; raises ``error`` below 1."""
+    dims = tuple(_out_dim(n, k, s, p) for n in spatial)
+    if min(dims) < 1:
+        shown = "x".join(map(str, dims))
+        raise error(f"{type(spec).__name__} would produce {shown} from {spatial}")
+    return dims
+
+
 def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Per-sample output shape (batch dim excluded); raises InvalidShape."""
-    if isinstance(spec, Conv2D):
-        if len(in_shape) != 3 or in_shape[0] != spec.in_ch:
-            raise InvalidShape(f"Conv2D({spec.in_ch}ch) cannot take input {in_shape}")
-        oh = _out_dim(in_shape[1], spec.kernel, spec.stride, spec.pad)
-        ow = _out_dim(in_shape[2], spec.kernel, spec.stride, spec.pad)
-        if oh < 1 or ow < 1:
-            raise InvalidShape(f"Conv2D would produce {oh}x{ow} from {in_shape}")
-        return (spec.out_ch, oh, ow)
-    if isinstance(spec, Conv1D):
-        if len(in_shape) != 2 or in_shape[0] != spec.in_ch:
-            raise InvalidShape(f"Conv1D({spec.in_ch}ch) cannot take input {in_shape}")
-        ol = _out_dim(in_shape[1], spec.kernel, spec.stride, spec.pad)
-        if ol < 1:
-            raise InvalidShape(f"Conv1D would produce length {ol} from {in_shape}")
-        return (spec.out_ch, ol)
-    if isinstance(spec, MaxPool2D):
-        if len(in_shape) != 3:
-            raise InvalidShape(f"MaxPool2D needs CxHxW input, got {in_shape}")
-        oh = _out_dim(in_shape[1], spec.k, spec.stride, 0)
-        ow = _out_dim(in_shape[2], spec.k, spec.stride, 0)
-        if oh < 1 or ow < 1:
-            raise InvalidShape(f"MaxPool2D would produce {oh}x{ow} from {in_shape}")
-        return (in_shape[0], oh, ow)
-    if isinstance(spec, MaxPool1D):
-        if len(in_shape) != 2:
-            raise InvalidShape(f"MaxPool1D needs CxL input, got {in_shape}")
-        ol = _out_dim(in_shape[1], spec.k, spec.stride, 0)
-        if ol < 1:
-            raise InvalidShape(f"MaxPool1D would produce length {ol} from {in_shape}")
-        return (in_shape[0], ol)
+    if isinstance(spec, _CONV):
+        if len(in_shape) != spec.rank + 1 or in_shape[0] != spec.in_ch:
+            name = type(spec).__name__
+            raise InvalidShape(f"{name}({spec.in_ch}ch) cannot take input {in_shape}")
+        dims = _window_dims(spec, in_shape[1:], spec.kernel, spec.stride, spec.pad, InvalidShape)
+        return (spec.out_ch, *dims)
+    if isinstance(spec, _POOL):
+        if len(in_shape) != spec.rank + 1:
+            name = type(spec).__name__
+            raise InvalidShape(f"{name} needs C and {spec.rank} spatial dims, got {in_shape}")
+        dims = _window_dims(spec, in_shape[1:], spec.k, spec.stride, 0, InvalidShape)
+        return (in_shape[0], *dims)
     if isinstance(spec, Dense):
         if len(in_shape) != 1 or in_shape[0] != spec.n_in:
             raise InvalidShape(f"Dense({spec.n_in}) cannot take input {in_shape}")
@@ -176,33 +181,24 @@ class Params:
 
 def _he_uniform(shape: tuple[int, ...], fan_in: int, seed: int, dtype) -> np.ndarray:
     bound = math.sqrt(6.0 / fan_in)
-    rng = Rng(seed)
-    flat = np.array(
-        [(2.0 * rng.uniform() - 1.0) * bound for _ in range(int(np.prod(shape)))]
-    )
+    flat = (2.0 * Rng(seed).uniforms(math.prod(shape)) - 1.0) * bound
     return flat.reshape(shape).astype(dtype)
 
 
 def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params:
     """He-uniform weights (U(-b, b), b = sqrt(6/fan_in)), zero biases."""
-    if isinstance(spec, Conv2D):
+    if isinstance(spec, _CONV):
         if min(spec.in_ch, spec.out_ch, spec.kernel, spec.stride) < 1 or spec.pad < 0:
-            raise BadSpec(f"bad Conv2D spec {spec}")
-        fan_in = spec.in_ch * spec.kernel * spec.kernel
-        w = _he_uniform((spec.out_ch, spec.in_ch, spec.kernel, spec.kernel), fan_in, seed, dtype)
-        return Params(w, np.zeros(spec.out_ch, dtype=dtype))
-    if isinstance(spec, Conv1D):
-        if min(spec.in_ch, spec.out_ch, spec.kernel, spec.stride) < 1 or spec.pad < 0:
-            raise BadSpec(f"bad Conv1D spec {spec}")
-        fan_in = spec.in_ch * spec.kernel
-        w = _he_uniform((spec.out_ch, spec.in_ch, spec.kernel), fan_in, seed, dtype)
+            raise BadSpec(f"bad {type(spec).__name__} spec {spec}")
+        taps = (spec.kernel,) * spec.rank
+        w = _he_uniform((spec.out_ch, spec.in_ch, *taps), spec.in_ch * math.prod(taps), seed, dtype)
         return Params(w, np.zeros(spec.out_ch, dtype=dtype))
     if isinstance(spec, Dense):
         if min(spec.n_in, spec.n_out) < 1:
             raise BadSpec(f"bad Dense spec {spec}")
         w = _he_uniform((spec.n_in, spec.n_out), spec.n_in, seed, dtype)
         return Params(w, np.zeros(spec.n_out, dtype=dtype))
-    if isinstance(spec, (MaxPool2D, MaxPool1D)):
+    if isinstance(spec, _POOL):
         if min(spec.k, spec.stride) < 1:
             raise BadSpec(f"bad pool spec {spec}")
         return Params(None, None)
@@ -211,63 +207,46 @@ def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params:
     return Params(None, None)
 
 
-def _im2col2d(xp: np.ndarray, k: int, s: int, oh: int, ow: int) -> np.ndarray:
-    """Padded input (N,C,Hp,Wp) -> patch matrix (N*oh*ow, C*k*k)."""
-    v = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-    return v.transpose(0, 2, 3, 1, 4, 5).reshape(xp.shape[0] * oh * ow, -1)
+def _windows(x: np.ndarray, k: int, s: int, rank: int) -> np.ndarray:
+    """View (N, C, *out, *[k]*rank) of the k-wide windows at stride s over the last axes."""
+    v = sliding_window_view(x, (k,) * rank, axis=tuple(range(2, 2 + rank)))
+    return v[(slice(None), slice(None)) + (slice(None, None, s),) * rank]
 
 
-def _im2col1d(xp: np.ndarray, k: int, s: int, ol: int) -> np.ndarray:
-    v = sliding_window_view(xp, k, axis=2)[:, :, ::s]
-    return v.transpose(0, 2, 1, 3).reshape(xp.shape[0] * ol, -1)
+def _pool_windows(spec: MaxPool1D | MaxPool2D, x: np.ndarray) -> np.ndarray:
+    """Pool windows flattened row-major: (N, C, *out, k**rank)."""
+    v = _windows(x, spec.k, spec.stride, spec.rank)
+    return v.reshape(*v.shape[: 2 + spec.rank], -1)
+
+
+def _im2col(xp: np.ndarray, k: int, s: int, rank: int) -> np.ndarray:
+    """Padded input (N, C, *spatial) -> patch matrix (N * prod(out), C * k**rank)."""
+    v = _windows(xp, k, s, rank)
+    order = (0, *range(2, 2 + rank), 1, *range(2 + rank, 2 + 2 * rank))
+    return v.transpose(order).reshape(-1, xp.shape[1] * k**rank)
 
 
 def forward(spec: LayerSpec, params: Params, x: np.ndarray):
     """Returns (output, cache); cache feeds the matching backward call."""
-    if isinstance(spec, Conv2D):
-        if x.ndim != 4 or x.shape[1] != spec.in_ch:
-            raise ShapeMismatch(f"Conv2D expected (N,{spec.in_ch},H,W), got {x.shape}")
-        n, _, h, w = x.shape
-        k, s, p = spec.kernel, spec.stride, spec.pad
-        oh, ow = _out_dim(h, k, s, p), _out_dim(w, k, s, p)
-        if oh < 1 or ow < 1:
-            raise ShapeMismatch(f"Conv2D output would be {oh}x{ow}")
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = _im2col2d(xp, k, s, oh, ow)
+    if isinstance(spec, _CONV):
+        r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
+        if x.ndim != r + 2 or x.shape[1] != spec.in_ch:
+            name = type(spec).__name__
+            raise ShapeMismatch(f"{name} expected (N, {spec.in_ch}, {r} dims), got {x.shape}")
+        dims = _window_dims(spec, x.shape[2:], k, s, p, ShapeMismatch)
+        xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * r) if p else x
+        cols = _im2col(xp, k, s, r)
         w_mat = params.weight.reshape(spec.out_ch, -1)
-        out = cols @ w_mat.T + params.bias
-        y = np.ascontiguousarray(out.reshape(n, oh, ow, spec.out_ch).transpose(0, 3, 1, 2))
-        return y, (x.shape, xp)
-    if isinstance(spec, Conv1D):
-        if x.ndim != 3 or x.shape[1] != spec.in_ch:
-            raise ShapeMismatch(f"Conv1D expected (N,{spec.in_ch},L), got {x.shape}")
-        n, _, length = x.shape
-        k, s, p = spec.kernel, spec.stride, spec.pad
-        ol = _out_dim(length, k, s, p)
-        if ol < 1:
-            raise ShapeMismatch(f"Conv1D output would be length {ol}")
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p))) if p else x
-        cols = _im2col1d(xp, k, s, ol)
-        w_mat = params.weight.reshape(spec.out_ch, -1)
-        out = cols @ w_mat.T + params.bias
-        y = np.ascontiguousarray(out.reshape(n, ol, spec.out_ch).transpose(0, 2, 1))
-        return y, (x.shape, xp)
-    if isinstance(spec, MaxPool2D):
-        if x.ndim != 4:
-            raise ShapeMismatch(f"MaxPool2D expected 4-d input, got {x.shape}")
-        k, s = spec.k, spec.stride
-        v = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        vf = v.reshape(*v.shape[:4], k * k)
+        out = (cols @ w_mat.T + params.bias).reshape(x.shape[0], *dims, spec.out_ch)
+        return np.ascontiguousarray(out.transpose(0, r + 1, *range(1, r + 1))), (x.shape, xp)
+    if isinstance(spec, _POOL):
+        if x.ndim != spec.rank + 2:
+            name = type(spec).__name__
+            raise ShapeMismatch(f"{name} expected {spec.rank + 2}-d input, got {x.shape}")
+        _window_dims(spec, x.shape[2:], spec.k, spec.stride, 0, ShapeMismatch)
+        vf = _pool_windows(spec, x)
         idx = vf.argmax(axis=-1)
         y = np.take_along_axis(vf, idx[..., None], axis=-1)[..., 0]
-        return np.ascontiguousarray(y), (x.shape, idx)
-    if isinstance(spec, MaxPool1D):
-        if x.ndim != 3:
-            raise ShapeMismatch(f"MaxPool1D expected 3-d input, got {x.shape}")
-        k, s = spec.k, spec.stride
-        v = sliding_window_view(x, k, axis=2)[:, :, ::s]
-        idx = v.argmax(axis=-1)
-        y = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
         return np.ascontiguousarray(y), (x.shape, idx)
     if isinstance(spec, Dense):
         if x.ndim != 2 or x.shape[1] != spec.n_in:
@@ -298,57 +277,31 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
 
 def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray) -> np.ndarray:
     """Exact reverse-mode gradient; accumulates into params.grad_w/grad_b."""
-    if isinstance(spec, Conv2D):
+    if isinstance(spec, _CONV):
         x_shape, xp = cache
-        n, _, h, w = x_shape
-        k, s, p = spec.kernel, spec.stride, spec.pad
-        oh, ow = grad_out.shape[2], grad_out.shape[3]
-        cols = _im2col2d(xp, k, s, oh, ow)
-        dout = grad_out.transpose(0, 2, 3, 1).reshape(-1, spec.out_ch)
+        r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
+        dims = grad_out.shape[2:]
+        cols = _im2col(xp, k, s, r)
+        dout = grad_out.transpose(0, *range(2, 2 + r), 1).reshape(-1, spec.out_ch)
         params.grad_w += (dout.T @ cols).reshape(params.weight.shape)
         params.grad_b += dout.sum(axis=0)
         w_mat = params.weight.reshape(spec.out_ch, -1)
-        dcols = (dout @ w_mat).reshape(n, oh, ow, spec.in_ch, k, k)
+        dcols = (dout @ w_mat).reshape(x_shape[0], *dims, spec.in_ch, *(k,) * r)
         dxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[
-                    :, :, :, :, i, j
-                ].transpose(0, 3, 1, 2)
-        return dxp[:, :, p : p + h, p : p + w] if p else dxp
-    if isinstance(spec, Conv1D):
-        x_shape, xp = cache
-        n, _, length = x_shape
-        k, s, p = spec.kernel, spec.stride, spec.pad
-        ol = grad_out.shape[2]
-        cols = _im2col1d(xp, k, s, ol)
-        dout = grad_out.transpose(0, 2, 1).reshape(-1, spec.out_ch)
-        params.grad_w += (dout.T @ cols).reshape(params.weight.shape)
-        params.grad_b += dout.sum(axis=0)
-        w_mat = params.weight.reshape(spec.out_ch, -1)
-        dcols = (dout @ w_mat).reshape(n, ol, spec.in_ch, k)
-        dxp = np.zeros_like(xp)
-        for i in range(k):
-            dxp[:, :, i : i + s * ol : s] += dcols[:, :, :, i].transpose(0, 2, 1)
-        return dxp[:, :, p : p + length] if p else dxp
-    if isinstance(spec, MaxPool2D):
+        channels_first = (0, r + 1, *range(1, r + 1))
+        for tap in itertools.product(range(k), repeat=r):  # row-major, as the patch layout
+            dst = (slice(t, t + s * d, s) for t, d in zip(tap, dims))
+            dxp[(slice(None), slice(None), *dst)] += dcols[(..., *tap)].transpose(channels_first)
+        crop = (slice(p, p + n) for n in x_shape[2:])
+        return dxp[(slice(None), slice(None), *crop)] if p else dxp
+    if isinstance(spec, _POOL):
         x_shape, idx = cache
-        k, s = spec.k, spec.stride
-        n, c, oh, ow = grad_out.shape
-        n_i, c_i, oh_i, ow_i = np.indices((n, c, oh, ow), sparse=True)
-        rows = oh_i * s + idx // k
-        cols = ow_i * s + idx % k
+        n_i, c_i, *out_i = np.indices(grad_out.shape, sparse=True)
+        taps = np.unravel_index(idx, (spec.k,) * spec.rank)
+        at = tuple(o * spec.stride + t for o, t in zip(out_i, taps))
+        del taps  # released before dx is allocated, to keep peak memory down
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.add.at(dx, (n_i, c_i, rows, cols), grad_out)
-        return dx
-    if isinstance(spec, MaxPool1D):
-        x_shape, idx = cache
-        s = spec.stride
-        n, c, ol = grad_out.shape
-        n_i, c_i, ol_i = np.indices((n, c, ol), sparse=True)
-        pos = ol_i * s + idx
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.add.at(dx, (n_i, c_i, pos), grad_out)
+        np.add.at(dx, (n_i, c_i) + at, grad_out)
         return dx
     if isinstance(spec, Dense):
         x = cache

@@ -77,6 +77,7 @@ class Rng:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
+        """``n`` successive ``uniform()`` draws as a float64 array."""
         return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
 
     def normal(self) -> float:
@@ -84,9 +85,6 @@ class Rng:
         u1 = self.uniform()
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
-
-    def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
 
     def shuffle(self, items: list | np.ndarray) -> None:
         """In-place Fisher-Yates using ``next_u64() % k`` for the pick."""

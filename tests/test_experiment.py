@@ -84,6 +84,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             manifest_from_dict(doc)
 
+    @pytest.mark.parametrize("override", [
+        {"datasets": 5},
+        {"master_seed": "x"},
+        {"datasets": [{"name": "a", "synth": {"n": "10"}}]},
+        {"arms": [1]},
+        {"render": {"candle_px": 4}},
+    ], ids=["datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even"])
+    def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
+        with pytest.raises(ManifestError):
+            manifest(tmp_path, **override)
+
     def test_load_from_file_resolves_relative_csv(self, tmp_path):
         (tmp_path / "prices.csv").write_text(
             "Date,Open,High,Low,Close\n2020-01-01,1,2,0.5,1.5\n"
@@ -294,6 +305,20 @@ class TestCli:
         man_path = self._tiny_manifest(tmp_path)
         argv = ["eval", "--manifest", str(man_path), "--dataset", "alpha", "--arm", arm,
                 "--checkpoint", str(ckpt)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--csv", "nope.csv"],
+        ["decompose", "--image", "nope.ppm"],
+        ["report", "--report-json", "nope.json"],
+        ["detect", "--synth", "60", "--manifest", "bad.json"],
+        ["report", "--report-json", "bad.json"],
+    ], ids=["csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad"])
+    def test_file_input_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # missing files, and a file that is not JSON
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{not json")
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 

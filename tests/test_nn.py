@@ -18,13 +18,16 @@ SMOOTH_LAYERS = [
     nn.Conv2D(2, 3, 3),
     nn.Conv2D(2, 3, 3, stride=2, pad=1),
     nn.Conv1D(2, 3, 3, pad=1),
+    nn.Conv1D(2, 3, 3, stride=2),
     nn.Dense(5, 4),
     nn.Sigmoid(),
     nn.Flatten(),
     nn.Reshape((2, 6)),
     nn.NearestUpsample2D(2),
 ]
-KINKED_LAYERS = [nn.ReLU(), nn.MaxPool2D(2, 2), nn.MaxPool2D(3, 2), nn.MaxPool1D(2, 2)]
+KINKED_LAYERS = [
+    nn.ReLU(), nn.MaxPool2D(2, 2), nn.MaxPool2D(3, 2), nn.MaxPool1D(2, 2), nn.MaxPool1D(3, 2)
+]
 
 
 class TestShapeLaw:
@@ -40,8 +43,16 @@ class TestShapeLaw:
             nn.Sequential([nn.MaxPool1D(2, 2)] * 6, (4, 28), seed=0)
 
     def test_channel_mismatch(self):
-        with pytest.raises(InvalidShape):
-            nn.output_shape(nn.Conv2D(3, 8, 3), (4, 8, 8))
+        # channel counts, then inputs of the other spatial rank
+        for spec, in_shape in [
+            (nn.Conv2D(3, 8, 3), (4, 8, 8)),
+            (nn.Conv1D(3, 8, 3), (4, 8)),
+            (nn.Conv1D(3, 8, 3), (3, 8, 8)),
+            (nn.MaxPool1D(2, 2), (3, 8, 8)),
+            (nn.MaxPool2D(2, 2), (3, 8)),
+        ]:
+            with pytest.raises(InvalidShape):
+                nn.output_shape(spec, in_shape)
 
 
 class TestInit:
