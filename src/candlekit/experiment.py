@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
-from .errors import BadSpec, EmptyDataset, ManifestError, SourceNotFound
+from .errors import BadRow, BadSpec, EmptyDataset, ManifestError, SourceNotFound
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
@@ -89,6 +89,25 @@ class ModelSettings:
     subchart_k: int = 3
     subchart_stride: int = 1
 
+    def validate(self) -> None:
+        """ManifestError unless every arm can build from these values.
+
+        Each ``*_hw`` is two positive ints, ``subchart_hw`` divisible by 4
+        (the CAE halves it twice), widths non-empty and positive, and the
+        scalar sizes at least 1.
+        """
+        for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
+            values = _expect(getattr(self, key), tuple, f"model {key}")
+            if not values or any(_expect(v, int, f"model {key} entry") < 1 for v in values):
+                raise ManifestError(f"model {key} needs positive entries, got {values!r}")
+            if key.endswith("_hw") and len(values) != 2:
+                raise ManifestError(f"model {key} must be (height, width), got {values!r}")
+        if any(v % 4 for v in self.subchart_hw):
+            raise ManifestError(f"model subchart_hw must be divisible by 4, got {self.subchart_hw}")
+        for key in ("fc_dim", "latent_dim", "window", "subchart_k", "subchart_stride"):
+            if _expect(getattr(self, key), int, f"model {key}") < 1:
+                raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
+
 
 @dataclass
 class ExperimentManifest:
@@ -127,8 +146,9 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     """Manifest from a parsed JSON document.
 
     Missing or duplicate names, wrong types for the document, its lists,
-    entries, sections, seed and synth ``n``, and a render spec that fails
-    ``RenderSpec.validate`` raise ManifestError here rather than mid-run.
+    entries, sections, seed and synth ``n``, a render spec that fails
+    ``RenderSpec.validate`` and model settings that fail
+    ``ModelSettings.validate`` raise ManifestError here rather than mid-run.
     """
     if "master_seed" not in _expect(doc, dict, "manifest"):
         raise ManifestError("manifest must carry a master_seed")
@@ -192,6 +212,11 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         render_spec.validate()
     except (BadSpec, TypeError) as exc:
         raise ManifestError(f"bad render section: {exc}") from exc
+    model_settings = _build_dc(
+        ModelSettings, doc.get("model", {}), "model",
+        "hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths",
+    )
+    model_settings.validate()
 
     return ExperimentManifest(
         master_seed=_expect(doc["master_seed"], int, "master_seed"),
@@ -202,25 +227,27 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         labeler_params=_build_dc(LabelerParams, doc.get("labeler", {}), "labeler"),
         render_spec=render_spec,
         train_config=_build_dc(TrainConfig, doc.get("train", {}), "train"),
-        model_settings=_build_dc(
-            ModelSettings, doc.get("model", {}), "model",
-            "hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths",
-        ),
+        model_settings=model_settings,
         base_dir=Path(base_dir),
     )
 
 
 def read_input(path: str | Path, what: str, read=Path.read_text):
-    """``read(path)`` for an input file; SourceNotFound when it cannot be read."""
+    """``read(path)`` for an input file.
+
+    SourceNotFound when it cannot be read, BadRow when its text does not decode.
+    """
     try:
         return read(Path(path))
     except OSError as exc:
         raise SourceNotFound(f"{what} not found: {path}") from exc
+    except UnicodeDecodeError as exc:
+        raise BadRow(f"{what} {path} is not text: {exc}") from exc
 
 
 def _read_json(path: str | Path, what: str):
     try:
-        return json.loads(read_input(path, what))
+        return json.loads(read_input(path, what, Path.read_bytes))
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -448,11 +475,20 @@ class ExperimentReport:
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    """Read back the ``report.json`` that :func:`run_experiment` writes."""
+    """Read back the ``report.json`` that :func:`run_experiment` writes.
+
+    A document :func:`render_report` cannot render (a missing key or a value
+    of the wrong type) raises ManifestError.
+    """
     doc = _read_json(path, "report")
     if not isinstance(doc, dict) or not {"rows", "environment"} <= doc.keys():
         raise ManifestError(f"report {path} needs 'rows' and 'environment'")
-    return ExperimentReport(rows=doc["rows"], environment=doc["environment"])
+    report = ExperimentReport(rows=doc["rows"], environment=doc["environment"])
+    try:
+        render_report(report)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"report {path} cannot be rendered: {exc!r}") from exc
+    return report
 
 
 def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -> ExperimentReport:

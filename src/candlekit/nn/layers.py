@@ -9,6 +9,9 @@ runs in float32; gradient checking builds float64 parameters.
 Convolution and max-pool have one implementation for 1-D and 2-D: the
 spec classes differ only in their ``rank`` (the number of spatial axes),
 and every pass slides one k^rank window over the trailing axes.
+Conv lowers to channel-first im2col patches (N, C*k^rank, positions), so
+forward is one batched matmul; backward rebuilds the patches (no cache),
+and conv and max-pool route input gradients with one strided add per tap.
 
 Output dims follow floor((in + 2*pad - kernel) / stride) + 1; a stack that
 would reach a nonpositive dim fails at build time with InvalidShape rather
@@ -220,10 +223,10 @@ def _pool_windows(spec: MaxPool1D | MaxPool2D, x: np.ndarray) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, k: int, s: int, rank: int) -> np.ndarray:
-    """Padded input (N, C, *spatial) -> patch matrix (N * prod(out), C * k**rank)."""
-    v = _windows(xp, k, s, rank)
-    order = (0, *range(2, 2 + rank), 1, *range(2 + rank, 2 + 2 * rank))
-    return v.transpose(order).reshape(-1, xp.shape[1] * k**rank)
+    """Padded input (N, C, *spatial) -> channel-first patches (N, C * k**rank, prod(out))."""
+    order = (0, 1, *range(2 + rank, 2 + 2 * rank), *range(2, 2 + rank))
+    v = np.ascontiguousarray(_windows(xp, k, s, rank).transpose(order))
+    return v.reshape(xp.shape[0], xp.shape[1] * k**rank, -1)
 
 
 def forward(spec: LayerSpec, params: Params, x: np.ndarray):
@@ -235,10 +238,9 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
             raise ShapeMismatch(f"{name} expected (N, {spec.in_ch}, {r} dims), got {x.shape}")
         dims = _window_dims(spec, x.shape[2:], k, s, p, ShapeMismatch)
         xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * r) if p else x
-        cols = _im2col(xp, k, s, r)
-        w_mat = params.weight.reshape(spec.out_ch, -1)
-        out = (cols @ w_mat.T + params.bias).reshape(x.shape[0], *dims, spec.out_ch)
-        return np.ascontiguousarray(out.transpose(0, r + 1, *range(1, r + 1))), (x.shape, xp)
+        out = params.weight.reshape(spec.out_ch, -1) @ _im2col(xp, k, s, r)
+        out += params.bias[:, None]
+        return out.reshape(x.shape[0], spec.out_ch, *dims), (x.shape, xp)
     if isinstance(spec, _POOL):
         if x.ndim != spec.rank + 2:
             name = type(spec).__name__
@@ -253,8 +255,7 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
             raise ShapeMismatch(f"Dense expected (N,{spec.n_in}), got {x.shape}")
         return x @ params.weight + params.bias, x
     if isinstance(spec, ReLU):
-        mask = x > 0
-        return np.where(mask, x, 0), mask
+        return np.maximum(x, 0), x > 0
     if isinstance(spec, Sigmoid):
         y = np.empty_like(x)
         pos = x >= 0
@@ -281,27 +282,26 @@ def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray) -> np
         x_shape, xp = cache
         r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
         dims = grad_out.shape[2:]
+        dout = grad_out.reshape(*grad_out.shape[:2], -1)
         cols = _im2col(xp, k, s, r)
-        dout = grad_out.transpose(0, *range(2, 2 + r), 1).reshape(-1, spec.out_ch)
-        params.grad_w += (dout.T @ cols).reshape(params.weight.shape)
-        params.grad_b += dout.sum(axis=0)
+        params.grad_w += (dout @ cols.transpose(0, 2, 1)).sum(0).reshape(params.weight.shape)
+        params.grad_b += dout.sum(axis=(0, 2))
+        del cols  # released before dcols is allocated, to keep peak memory down
         w_mat = params.weight.reshape(spec.out_ch, -1)
-        dcols = (dout @ w_mat).reshape(x_shape[0], *dims, spec.in_ch, *(k,) * r)
+        dcols = (w_mat.T @ dout).reshape(*xp.shape[:2], *(k,) * r, *dims)
         dxp = np.zeros_like(xp)
-        channels_first = (0, r + 1, *range(1, r + 1))
         for tap in itertools.product(range(k), repeat=r):  # row-major, as the patch layout
             dst = (slice(t, t + s * d, s) for t, d in zip(tap, dims))
-            dxp[(slice(None), slice(None), *dst)] += dcols[(..., *tap)].transpose(channels_first)
+            dxp[(slice(None), slice(None), *dst)] += dcols[(slice(None), slice(None), *tap)]
         crop = (slice(p, p + n) for n in x_shape[2:])
         return dxp[(slice(None), slice(None), *crop)] if p else dxp
     if isinstance(spec, _POOL):
         x_shape, idx = cache
-        n_i, c_i, *out_i = np.indices(grad_out.shape, sparse=True)
-        taps = np.unravel_index(idx, (spec.k,) * spec.rank)
-        at = tuple(o * spec.stride + t for o, t in zip(out_i, taps))
-        del taps  # released before dx is allocated, to keep peak memory down
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.add.at(dx, (n_i, c_i) + at, grad_out)
+        taps = itertools.product(range(spec.k), repeat=spec.rank)  # row-major, as argmax's
+        for t, tap in enumerate(taps):
+            dst = (slice(o, o + spec.stride * d, spec.stride) for o, d in zip(tap, idx.shape[2:]))
+            dx[(slice(None), slice(None), *dst)] += np.where(idx == t, grad_out, 0)
         return dx
     if isinstance(spec, Dense):
         x = cache

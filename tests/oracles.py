@@ -1,8 +1,9 @@
 """Independent straight-line oracles used to cross-check the library.
 
-Everything here is written longhand from plain OHLC tuples on purpose: no
-shared helpers with the package, no enum dispatch, no vectorization. If
-the library and these functions agree, the agreement is between two
+Everything here is written longhand from plain OHLC tuples (and, for the
+convolution and max-pool oracles, nested lists) on purpose: no shared
+helpers with the package, no enum dispatch, no vectorization. If the
+library and these functions agree, the agreement is between two
 separately written routes.
 """
 
@@ -154,3 +155,70 @@ def oracle_metrics(probs, labels, threshold=0.5):
                     credit += 0.5
         auc = credit / (len(pos_scores) * len(neg_scores))
     return {"accuracy": accuracy, "f1": f1, "auc": auc, "tp": tp, "fp": fp, "tn": tn, "fn": fn}
+
+
+def oracle_conv(x, w, b, stride, pad, grad_out):
+    """Cross-correlation with zero padding, and its gradients, by loop nest.
+
+    ``x`` is N x C x H x W, ``w`` is O x C x KH x KW, ``b`` has O entries and
+    ``pad`` is (rows, columns); a 1-D convolution is the case H = KH = 1 with
+    no row padding. ``grad_out`` is the gradient of the output. Returns
+    (output, input gradient, weight gradient, bias gradient) as nested lists.
+    """
+    n_count, c_count, height, width = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
+    o_count, kh, kw = len(w), len(w[0][0]), len(w[0][0][0])
+    pad_rows, pad_cols = pad
+    out_h = (height + 2 * pad_rows - kh) // stride + 1
+    out_w = (width + 2 * pad_cols - kw) // stride + 1
+
+    out = [[[[0.0] * out_w for _ in range(out_h)] for _ in range(o_count)] for _ in range(n_count)]
+    dx = [[[[0.0] * width for _ in range(height)] for _ in range(c_count)] for _ in range(n_count)]
+    dw = [[[[0.0] * kw for _ in range(kh)] for _ in range(c_count)] for _ in range(o_count)]
+    db = [0.0] * o_count
+    for n in range(n_count):
+        for o in range(o_count):
+            for oy in range(out_h):
+                for ox in range(out_w):
+                    total = float(b[o])
+                    g = float(grad_out[n][o][oy][ox])
+                    db[o] += g
+                    for c in range(c_count):
+                        for i in range(kh):
+                            for j in range(kw):
+                                iy = oy * stride + i - pad_rows
+                                ix = ox * stride + j - pad_cols
+                                if iy < 0 or iy >= height or ix < 0 or ix >= width:
+                                    continue  # a zero from the padding
+                                total += float(w[o][c][i][j]) * float(x[n][c][iy][ix])
+                                dx[n][c][iy][ix] += float(w[o][c][i][j]) * g
+                                dw[o][c][i][j] += float(x[n][c][iy][ix]) * g
+                    out[n][o][oy][ox] = total
+    return out, dx, dw, db
+
+
+def oracle_maxpool(x, kh, kw, stride, grad_out):
+    """Max-pool over KH x KW windows, and its input gradient, by loop nest.
+
+    ``x`` is N x C x H x W (a 1-D pool is the case H = KH = 1). Ties go to
+    the first maximum in row-major window order, and the whole gradient of
+    an output goes to that one input. Returns (output, input gradient).
+    """
+    n_count, c_count, height, width = len(x), len(x[0]), len(x[0][0]), len(x[0][0][0])
+    out_h = (height - kh) // stride + 1
+    out_w = (width - kw) // stride + 1
+
+    out = [[[[0.0] * out_w for _ in range(out_h)] for _ in range(c_count)] for _ in range(n_count)]
+    dx = [[[[0.0] * width for _ in range(height)] for _ in range(c_count)] for _ in range(n_count)]
+    for n in range(n_count):
+        for c in range(c_count):
+            for oy in range(out_h):
+                for ox in range(out_w):
+                    best_y, best_x = oy * stride, ox * stride
+                    for i in range(kh):
+                        for j in range(kw):
+                            iy, ix = oy * stride + i, ox * stride + j
+                            if x[n][c][iy][ix] > x[n][c][best_y][best_x]:
+                                best_y, best_x = iy, ix
+                    out[n][c][oy][ox] = float(x[n][c][best_y][best_x])
+                    dx[n][c][best_y][best_x] += float(grad_out[n][c][oy][ox])
+    return out, dx

@@ -90,7 +90,24 @@ class TestManifest:
         {"datasets": [{"name": "a", "synth": {"n": "10"}}]},
         {"arms": [1]},
         {"render": {"candle_px": 4}},
-    ], ids=["datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even"])
+        {"model": {"hist_hw": [0, 0]}},
+        {"model": {"pattern_hw": [32]}},
+        {"model": {"subchart_hw": [18, 18]}},
+        {"model": {"hist_hw": "32x32"}},
+        {"model": {"block_widths": []}},
+        {"model": {"pattern_widths": [8, -16]}},
+        {"model": {"block_widths": [8.0]}},
+        {"model": {"fc_dim": 0}},
+        {"model": {"latent_dim": "16"}},
+        {"model": {"window": 0}},
+        {"model": {"subchart_k": 0}},
+        {"model": {"subchart_stride": 0}},
+    ], ids=[
+        "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
+        "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
+        "block_widths-empty", "pattern_widths-negative", "block_widths-float", "fc_dim-zero",
+        "latent_dim-str", "window-zero", "subchart_k-zero", "subchart_stride-zero",
+    ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
             manifest(tmp_path, **override)
@@ -314,11 +331,21 @@ class TestCli:
         ["report", "--report-json", "nope.json"],
         ["detect", "--synth", "60", "--manifest", "bad.json"],
         ["report", "--report-json", "bad.json"],
-    ], ids=["csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad"])
+        ["detect", "--csv", "undecodable.csv"],
+        ["report", "--report-json", "keyless.json"],
+    ], ids=[
+        "csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad",
+        "csv-undecodable", "report-keyless",
+    ])
     def test_file_input_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
-        # missing files, and a file that is not JSON
+        # missing files, a file that is not JSON, a CSV with a byte that is not
+        # UTF-8, and a report without the keys the renderer reads
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "undecodable.csv").write_bytes(
+            b"Date,Open,High,Low,Close\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1,2,0.5,\xff\n"
+        )
+        (tmp_path / "keyless.json").write_text('{"rows": [{}], "environment": {}}')
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 

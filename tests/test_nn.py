@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from oracles import oracle_conv, oracle_maxpool
 
 from candlekit import nn
 from candlekit.errors import (
@@ -112,6 +113,23 @@ class TestForward:
         g = nn.backward(spec, p, cache, np.ones_like(x))
         assert np.array_equal(g, [1.0, 0.0, 1.0])
 
+    def test_relu_keeps_nan(self):
+        spec = nn.ReLU()
+        y, _ = nn.forward(spec, nn.init_params(spec, 0), np.array([np.nan, -1.0, 2.0]))
+        assert np.isnan(y[0]) and np.array_equal(y[1:], [0.0, 2.0])
+        net = nn.Sequential([nn.ReLU(), nn.Dense(3, 1)], (3,), seed=0)
+        with pytest.raises(NonFiniteValue):
+            net.forward(np.array([[np.nan, -1.0, 2.0]], dtype=np.float32))
+
+    def test_maxpool_propagates_nan(self):
+        # the first window holds a NaN, the second does not
+        for spec, x, second in [
+            (nn.MaxPool1D(2, 2), np.array([[[1.0, np.nan, 3.0, 2.0]]]), 3.0),
+            (nn.MaxPool2D(2, 2), np.array([[[[1.0, 5.0, 3.0, 2.0], [np.nan, 0, 1.0, 4.0]]]]), 4.0),
+        ]:
+            y, _ = nn.forward(spec, nn.init_params(spec, 0), x)
+            assert np.isnan(y.reshape(-1)[0]) and y.reshape(-1)[1] == second
+
     def test_shape_mismatch(self):
         spec = nn.Dense(3, 2)
         with pytest.raises(ShapeMismatch):
@@ -146,6 +164,60 @@ class TestGradChecks:
 
     def test_overlapping_pool_windows(self):
         assert nn.grad_check(nn.MaxPool2D(3, 1), 7, in_shape=(1, 2, 5, 5)) < 1e-4
+
+
+ORACLE_DTYPES = [np.float32, np.float64]
+
+
+def _close(actual, expected, dtype):
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    return actual.dtype == dtype and np.allclose(actual, expected, rtol=tol, atol=tol)
+
+
+def _rows(a, rank):
+    """A rank-1 tensor as the oracles' 2-D one over a single row."""
+    return a if rank == 2 else a[:, :, None, :]
+
+
+class TestOracles:
+    """Forward and backward of conv and max-pool against longhand loop nests."""
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("spec", [
+        cls(2, 3, 3, stride=s, pad=p)
+        for cls in (nn.Conv1D, nn.Conv2D) for s in (1, 2) for p in (0, 1)
+    ], ids=lambda c: f"{type(c).__name__}-s{c.stride}-p{c.pad}")
+    def test_conv(self, spec, dtype):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 2, 7, 6)[: spec.rank + 2]).astype(dtype)
+        params = nn.init_params(spec, 5, dtype)
+        params.bias[...] = rng.standard_normal(3)
+        y, cache = nn.forward(spec, params, x)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        dx = nn.backward(spec, params, cache, g)
+        r = spec.rank
+        pad = (spec.pad, spec.pad) if r == 2 else (0, spec.pad)
+        want = oracle_conv(_rows(x, r).tolist(), _rows(params.weight, r).tolist(),
+                           params.bias.tolist(), spec.stride, pad, _rows(g, r).tolist())
+        for got, expected in zip((y, dx, params.grad_w, params.grad_b), want):
+            assert _close(_rows(got, r) if got.ndim > 1 else got, expected, dtype)
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("spec", [
+        nn.MaxPool1D(2, 2), nn.MaxPool1D(3, 2), nn.MaxPool2D(2, 2), nn.MaxPool2D(3, 2)
+    ], ids=lambda m: f"{type(m).__name__}-k{m.k}-s{m.stride}")
+    def test_maxpool(self, spec, ties, dtype):
+        rng = np.random.default_rng(4)
+        shape = (2, 3, 7, 8)[: spec.rank + 2]
+        x = (rng.integers(0, 3, shape) if ties else rng.standard_normal(shape)).astype(dtype)
+        y, cache = nn.forward(spec, nn.init_params(spec, 0), x)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        dx = nn.backward(spec, nn.init_params(spec, 0), cache, g)
+        r = spec.rank
+        kh = spec.k if r == 2 else 1
+        want = oracle_maxpool(_rows(x, r).tolist(), kh, spec.k, spec.stride, _rows(g, r).tolist())
+        assert _close(_rows(y, r), want[0], dtype) and _close(_rows(dx, r), want[1], dtype)
 
 
 class TestLosses:
