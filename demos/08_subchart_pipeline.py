@@ -29,10 +29,12 @@ print(f"dataset: {ds.subcharts.shape[0]} samples x {ds.subcharts.shape[1]} sub-c
 cfg = ModelConfig(variant="cae", input_shape=(3, 16, 16), block_widths=(4, 8), latent_dim=16, seed=2)
 result = train_subchart_pipeline(ds, TrainConfig(epochs=3, batch_size=32, seed=3), cfg)
 
-print("\nphase 1 (CAE reconstruction MSE per epoch):")
+print("\nphase 1 (CAE reconstruction MSE: full passes at the ends, mean minibatch MSE between):")
+last = len(result.cae_epoch_mse) - 1
 for i, mse in enumerate(result.cae_epoch_mse):
-    tag = " (before training)" if i == 0 else ""
-    print(f"  epoch {i}: {mse:.4f}{tag}")
+    tag = ("full pass, before training" if i == 0
+           else "full pass, after training" if i == last else "minibatch mean")
+    print(f"  epoch {i}: {mse:.4f} ({tag})")
 
 print(f"\nencoded sequences: {result.encoded_shape}")
 print("phase 2 (CNN1D on latent sequences):")

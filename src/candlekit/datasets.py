@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .decompose import subcharts
-from .errors import EmptyDataset, SourceNotFound
+from .errors import EmptyDataset, ManifestError, SourceNotFound
 from .market_data import Candle, CandleWindow
 from .models import SubchartDataset, TrainingSet
 from .raster import RasterImage, RenderSpec, read_ppm, render_window, resize_nearest
@@ -33,19 +33,58 @@ def image_to_array(img: RasterImage) -> np.ndarray:
     return (img.pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
 
 
+_ROW_KEYS = ("end_index", "strength", "history_image_path", "pattern_image_path")
+
+
 def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
+    """The rows of ``manifest.jsonl``; ManifestError for a line that is not a full row."""
     path = Path(dataset_dir) / "manifest.jsonl"
-    if not path.exists():
-        raise SourceNotFound(f"no manifest.jsonl under {dataset_dir}")
-    rows = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    try:
+        lines = [line for line in path.read_bytes().splitlines() if line.strip()]
+    except OSError as exc:
+        raise SourceNotFound(f"no manifest.jsonl under {dataset_dir}") from exc
+    rows = []
+    for n, line in enumerate(lines, start=1):
+        try:
+            row = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ManifestError(f"{path} row {n} is not JSON: {exc}") from exc
+        if not (isinstance(row, dict) and set(_ROW_KEYS) <= row.keys()
+                and isinstance(row["end_index"], int)):
+            raise ManifestError(f"{path} row {n} needs keys {_ROW_KEYS} and an int end_index")
+        rows.append(row)
     if not rows:
         raise EmptyDataset(f"{path} holds no samples")
     return rows
 
 
+def _read_rows(dataset_dirs: list[Path]):
+    """((dir, row) pairs, labels, order, member) over every directory's rows.
+
+    A strong row is labeled 1.0 and a weak one 0.0; ``member`` is the
+    directory's position, or None for a single directory.
+    """
+    pairs: list[tuple[Path, dict]] = []
+    member: list[int] = []
+    for m, d in enumerate(map(Path, dataset_dirs)):
+        for row in load_manifest_rows(d):
+            pairs.append((d, row))
+            member.append(m)
+    labels = np.asarray([1.0 if r["strength"] == "strong" else 0.0 for _, r in pairs], dtype=np.float32)
+    order = np.asarray([r["end_index"] for _, r in pairs], dtype=np.int64)
+    return pairs, labels, order, np.asarray(member, dtype=np.int64) if len(dataset_dirs) > 1 else None
+
+
+def _read_image(dataset_dir: Path, rel_path: str) -> RasterImage:
+    try:
+        data = (dataset_dir / rel_path).read_bytes()
+    except OSError as exc:
+        raise SourceNotFound(f"image {rel_path} not found under {dataset_dir}") from exc
+    return read_ppm(data)
+
+
 def _load_resized(dataset_dir: Path, rel_path: str, hw: tuple[int, int]) -> np.ndarray:
-    img = read_ppm((dataset_dir / rel_path).read_bytes())
-    return image_to_array(resize_nearest(img, hw[0], hw[1]))
+    return image_to_array(resize_nearest(_read_image(dataset_dir, rel_path), hw[0], hw[1]))
 
 
 def assemble_training_set(
@@ -59,29 +98,14 @@ def assemble_training_set(
     Multiple directories form a merged dataset: samples keep a member id so
     the chronological split stays within each member.
     """
-    inputs: list[np.ndarray] = []
-    patterns: list[np.ndarray] = []
-    labels: list[float] = []
-    order: list[int] = []
-    member: list[int] = []
-    sample_ids: list[str] = []
-    for m, d in enumerate(dataset_dirs):
-        d = Path(d)
-        for row in load_manifest_rows(d):
-            inputs.append(_load_resized(d, row["history_image_path"], hist_hw))
-            if include_pattern:
-                patterns.append(_load_resized(d, row["pattern_image_path"], pattern_hw))
-            labels.append(1.0 if row["strength"] == "strong" else 0.0)
-            order.append(int(row["end_index"]))
-            member.append(m)
-            sample_ids.append(row["sample_id"])
+    pairs, labels, order, member = _read_rows(dataset_dirs)
     return TrainingSet(
-        inputs=np.stack(inputs),
-        labels=np.asarray(labels, dtype=np.float32),
-        order=np.asarray(order, dtype=np.int64),
-        pattern=np.stack(patterns) if include_pattern else None,
-        member=np.asarray(member, dtype=np.int64) if len(dataset_dirs) > 1 else None,
-        sample_ids=tuple(sample_ids),
+        inputs=np.stack([_load_resized(d, row["history_image_path"], hist_hw) for d, row in pairs]),
+        labels=labels,
+        order=order,
+        pattern=np.stack([_load_resized(d, row["pattern_image_path"], pattern_hw) for d, row in pairs])
+        if include_pattern else None,
+        member=member,
     )
 
 
@@ -93,27 +117,15 @@ def assemble_subchart_dataset(
     stride: int = 1,
 ) -> SubchartDataset:
     """History charts cut into k-candle sub-charts, resized and stacked."""
-    stacks: list[np.ndarray] = []
-    labels: list[float] = []
-    order: list[int] = []
-    member: list[int] = []
-    for m, d in enumerate(dataset_dirs):
-        d = Path(d)
-        for row in load_manifest_rows(d):
-            img = read_ppm((d / row["history_image_path"]).read_bytes())
-            crops = subcharts(img, render_spec, k=k, stride=stride)
-            stacks.append(
-                np.stack([image_to_array(resize_nearest(c, sub_hw[0], sub_hw[1])) for c in crops])
-            )
-            labels.append(1.0 if row["strength"] == "strong" else 0.0)
-            order.append(int(row["end_index"]))
-            member.append(m)
-    return SubchartDataset(
-        subcharts=np.stack(stacks),
-        labels=np.asarray(labels, dtype=np.float32),
-        order=np.asarray(order, dtype=np.int64),
-        member=np.asarray(member, dtype=np.int64) if len(dataset_dirs) > 1 else None,
-    )
+    pairs, labels, order, member = _read_rows(dataset_dirs)
+    stacks = [
+        np.stack([
+            image_to_array(resize_nearest(c, sub_hw[0], sub_hw[1]))
+            for c in subcharts(_read_image(d, row["history_image_path"]), render_spec, k=k, stride=stride)
+        ])
+        for d, row in pairs
+    ]
+    return SubchartDataset(subcharts=np.stack(stacks), labels=labels, order=order, member=member)
 
 
 def _candle(t: int, level: float, crange: float, body_frac: float, bullish: bool) -> Candle:
@@ -169,5 +181,4 @@ def planted_signal_set(
         inputs=images,
         labels=labels,
         order=np.arange(n_samples, dtype=np.int64),
-        sample_ids=tuple(f"planted:{i}" for i in range(n_samples)),
     )

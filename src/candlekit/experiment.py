@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import platform
 import re
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -93,8 +94,9 @@ class ModelSettings:
         """ManifestError unless every arm can build from these values.
 
         Each ``*_hw`` is two positive ints, ``subchart_hw`` divisible by 4
-        (the CAE halves it twice), widths non-empty and positive, and the
-        scalar sizes at least 1.
+        (the CAE halves it twice), widths non-empty and positive, the
+        scalar sizes at least 1, and ``window`` at least ``subchart_k`` (a
+        chart holds at least one sub-chart).
         """
         for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
             values = _expect(getattr(self, key), tuple, f"model {key}")
@@ -107,6 +109,8 @@ class ModelSettings:
         for key in ("fc_dim", "latent_dim", "window", "subchart_k", "subchart_stride"):
             if _expect(getattr(self, key), int, f"model {key}") < 1:
                 raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
+        if self.window < self.subchart_k:
+            raise ManifestError(f"model window {self.window} is shorter than subchart_k {self.subchart_k}")
 
 
 @dataclass
@@ -276,9 +280,10 @@ def _safe_stem(symbol: str, end_index: int, kind: str) -> str:
 def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = None) -> Path:
     """Detect, label, and render one concrete dataset to disk.
 
-    Writes ``manifest.jsonl`` plus per-sample history and pattern PPMs.
-    Deterministic: rebuilding with identical inputs rewrites identical
-    bytes.
+    Writes ``manifest.jsonl`` plus per-sample history and pattern PPMs
+    into a sibling temp dir, then swaps it in, so a rebuild leaves no file
+    of an earlier build. Deterministic: rebuilding with identical inputs
+    rewrites identical bytes.
     """
     ds = next((d for d in man.datasets if d.name == name), None)
     if ds is None:
@@ -294,8 +299,11 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
         raise EmptyDataset(f"dataset {name!r} produced no admissible samples")
 
     ddir = root / "datasets" / name
-    (ddir / "history").mkdir(parents=True, exist_ok=True)
-    (ddir / "pattern").mkdir(parents=True, exist_ok=True)
+    tmp = ddir.with_name(f".{name}.tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    (tmp / "history").mkdir(parents=True)
+    (tmp / "pattern").mkdir()
     lines = []
     for s in samples:
         stem = _safe_stem(series.symbol, s.match.end_index, s.match.kind.value)
@@ -303,8 +311,8 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
         pat_rel = f"pattern/{stem}.ppm"
         hist_img = render_window(s.history, man.render_spec)
         pat_img = render_pattern(s.history, s.match, man.render_spec)
-        (ddir / hist_rel).write_bytes(write_ppm(hist_img))
-        (ddir / pat_rel).write_bytes(write_ppm(pat_img))
+        (tmp / hist_rel).write_bytes(write_ppm(hist_img))
+        (tmp / pat_rel).write_bytes(write_ppm(pat_img))
         lines.append(
             json.dumps(
                 {
@@ -321,7 +329,10 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
                 sort_keys=True,
             )
         )
-    (ddir / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp / "manifest.jsonl").write_text("\n".join(lines) + "\n")
+    if ddir.exists():
+        shutil.rmtree(ddir)
+    tmp.rename(ddir)
     return ddir
 
 
@@ -342,22 +353,16 @@ def _member_dirs(man: ExperimentManifest, dirs: dict[str, Path], name: str) -> l
 
 
 def _model_config(man: ExperimentManifest, ds_name: str, arm: ArmSpec) -> ModelConfig:
+    """The arm's model config; the subchart pipeline takes its input shapes from the data."""
     ms = man.model_settings
-    variant = "cae" if arm.model == "subchart" else arm.model
-    seq_len = (ms.window - ms.subchart_k) // ms.subchart_stride + 1
-    if arm.model == "subchart":
-        input_shape = (3,) + tuple(ms.subchart_hw)
-    else:
-        input_shape = (3,) + tuple(ms.hist_hw)
     return ModelConfig(
-        variant=variant,
-        input_shape=input_shape,
+        variant="cae" if arm.model == "subchart" else arm.model,
+        input_shape=(3,) + tuple(ms.hist_hw),
         block_widths=ms.block_widths,
         fc_dim=ms.fc_dim,
         pattern_shape=(3,) + tuple(ms.pattern_hw),
         pattern_widths=ms.pattern_widths,
         latent_dim=ms.latent_dim,
-        seq_len=seq_len,
         seed=derive_seed(man.master_seed, f"model:{ds_name}:{arm.arm_name}"),
     )
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -113,7 +114,6 @@ class TrainingSet:
     order: np.ndarray
     pattern: np.ndarray | None = None
     member: np.ndarray | None = None
-    sample_ids: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return int(self.inputs.shape[0])
@@ -264,9 +264,7 @@ class CAEModel(Model):
         super().__init__(cfg, (encoder,), decoder)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        encoder = self.towers[0]
-        out = [encoder.predict(x[i : i + _PREDICT_CHUNK]) for i in range(0, len(x), _PREDICT_CHUNK)]
-        return np.concatenate(out, axis=0)
+        return np.concatenate([self.towers[0].predict(c) for (c,) in _chunks((x,))], axis=0)
 
 
 class CNN1DModel(Model):
@@ -285,6 +283,12 @@ class CNN1DModel(Model):
         specs.extend([Dense(flat, 1), Sigmoid()])
         net = Sequential(specs, (cfg.latent_dim, cfg.seq_len), derive_seed(cfg.seed, "cnn1d"))
         super().__init__(cfg, (net,))
+
+
+def _chunks(arrays: tuple[np.ndarray, ...]):
+    """Tuples of the same ``_PREDICT_CHUNK`` consecutive rows of every array."""
+    for i in range(0, len(arrays[0]), _PREDICT_CHUNK):
+        yield tuple(x[i : i + _PREDICT_CHUNK] for x in arrays)
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -376,11 +380,7 @@ def batch_inputs(model: Model, ts: TrainingSet, idx: np.ndarray) -> tuple[np.nda
 
 def predict(model: Model, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
     """Deterministic forward pass over a tuple of input streams; probabilities in (0, 1)."""
-    chunks = [
-        model.forward(tuple(x[i : i + _PREDICT_CHUNK] for x in inputs))[0]
-        for i in range(0, len(inputs[0]), _PREDICT_CHUNK)
-    ]
-    return np.concatenate(chunks, axis=0)
+    return np.concatenate([model.forward(c)[0] for c in _chunks(inputs)], axis=0)
 
 
 # --- splits and training ---------------------------------------------------
@@ -461,44 +461,34 @@ class TrainReport:
         return self.entries[-1].val_accuracy
 
 
-def _optimizer_step(model: Model, tc: TrainConfig) -> None:
-    if tc.optimizer == "adam":
-        adam_step(model.trainable(), tc.lr)
-    else:
-        sgd_step(model.trainable(), tc.lr)
-
-
-def _val_stats(model: Model, ts: TrainingSet, idx: np.ndarray, epoch: int,
-               train_loss: float | None) -> EpochStats:
-    probs = predict(model, batch_inputs(model, ts, idx))
-    rep = evaluate(probs, ts.labels[idx])
-    return EpochStats(
-        epoch=epoch,
-        train_loss=train_loss,
-        val_accuracy=rep.accuracy,
-        val_f1=rep.f1,
-        val_auc=rep.auc,
-    )
+def _fit(model: Model, streams: tuple[np.ndarray, ...], targets: np.ndarray, rows, loss,
+         tc: TrainConfig, tag: str):
+    """Mini-batch training on ``rows`` of ``streams``; yields each epoch's mean minibatch loss."""
+    shuffle_rng = Rng(derive_seed(tc.seed, tag))
+    step = adam_step if tc.optimizer == "adam" else sgd_step
+    for _epoch in range(tc.epochs):
+        idx = list(rows)
+        shuffle_rng.shuffle(idx)
+        losses = []
+        for start in range(0, len(idx), tc.batch_size):
+            batch = np.asarray(idx[start : start + tc.batch_size])
+            out, caches = model.forward(tuple(s[batch] for s in streams))
+            value, grad = loss(out, targets[batch].astype(out.dtype))
+            model.backward(grad, caches)
+            step(model.trainable(), tc.lr)
+            losses.append(value)
+        yield float(np.mean(losses))
 
 
 def train(model: Model, ts: TrainingSet, tc: TrainConfig) -> TrainReport:
     """Mini-batch BCE training; epoch 0 records the untrained val metrics."""
     tr, va, te = split_indices(ts.order, ts.member, tc)
     report = TrainReport(n_train=len(tr), n_val=len(va), n_test=len(te))
-    report.entries.append(_val_stats(model, ts, va, 0, None))
-    shuffle_rng = Rng(derive_seed(tc.seed, "batch-shuffle"))
-    for epoch in range(1, tc.epochs + 1):
-        idx = list(tr)
-        shuffle_rng.shuffle(idx)
-        losses = []
-        for start in range(0, len(idx), tc.batch_size):
-            batch = np.asarray(idx[start : start + tc.batch_size])
-            probs, caches = model.forward(batch_inputs(model, ts, batch))
-            value, grad = loss_bce(probs, ts.labels[batch].astype(probs.dtype))
-            model.backward(grad, caches)
-            _optimizer_step(model, tc)
-            losses.append(value)
-        report.entries.append(_val_stats(model, ts, va, epoch, float(np.mean(losses))))
+    streams = batch_inputs(model, ts, slice(None))
+    losses = _fit(model, streams, ts.labels, tr, loss_bce, tc, "batch-shuffle")
+    for epoch, loss in enumerate(chain([None], losses)):
+        rep = evaluate(predict(model, batch_inputs(model, ts, va)), ts.labels[va])
+        report.entries.append(EpochStats(epoch, loss, rep.accuracy, rep.f1, rep.auc))
     return report
 
 
@@ -506,7 +496,7 @@ def train(model: Model, ts: TrainingSet, tc: TrainConfig) -> TrainReport:
 class SubchartPipelineResult:
     cae: CAEModel
     cnn1d: CNN1DModel
-    cae_epoch_mse: list[float]  # index 0 is the pre-training MSE
+    cae_epoch_mse: list[float]  # full-pass MSE at [0] and [-1], mean minibatch MSE between
     training_set: TrainingSet  # every sample's encoded (latent_dim, S) sequence
     report: TrainReport
 
@@ -517,10 +507,8 @@ class SubchartPipelineResult:
 
 def _recon_mse(cae: CAEModel, images: np.ndarray) -> float:
     total = 0.0
-    for i in range(0, len(images), _PREDICT_CHUNK):
-        chunk = images[i : i + _PREDICT_CHUNK]
-        recon, _ = cae.forward((chunk,))
-        total += float(np.sum((recon - chunk) ** 2))
+    for chunk in _chunks((images,)):
+        total += float(np.sum((cae.forward(chunk)[0] - chunk[0]) ** 2))
     return total / images.size
 
 
@@ -528,10 +516,12 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     """Two-phase decompose pipeline.
 
     Phase 1 trains the CAE on the training partition's sub-chart images
-    with MSE. Phase 2 freezes the encoder, encodes every sample's sub-chart
-    sequence into a (latent_dim, S) tensor, and trains CNN1D on the
-    strength labels with BCE. The result carries that encoded training
-    set, so callers slice it rather than encode again.
+    with MSE. ``cae_epoch_mse`` holds the reconstruction MSE over all of
+    them before training and after the last epoch, and each epoch's mean
+    minibatch MSE in between. Phase 2 freezes the encoder, encodes every
+    sample's sub-chart sequence into a (latent_dim, S) tensor, and trains
+    CNN1D on the strength labels with BCE. The result carries that encoded
+    training set, so callers slice it rather than encode again.
     """
     n, s = ds.subcharts.shape[0], ds.subcharts.shape[1]
     tr, _va, _te = split_indices(ds.order, ds.member, tc)
@@ -540,17 +530,9 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     cae = CAEModel(cae_cfg)
     train_imgs = ds.subcharts[tr].reshape((-1,) + ds.subcharts.shape[2:])
     epoch_mse = [_recon_mse(cae, train_imgs)]
-    shuffle_rng = Rng(derive_seed(tc.seed, "cae-shuffle"))
-    for _epoch in range(1, tc.epochs + 1):
-        idx = list(range(len(train_imgs)))
-        shuffle_rng.shuffle(idx)
-        for start in range(0, len(idx), tc.batch_size):
-            batch = train_imgs[np.asarray(idx[start : start + tc.batch_size])]
-            recon, caches = cae.forward((batch,))
-            _, grad = loss_mse(recon, batch)
-            cae.backward(grad, caches)
-            _optimizer_step(cae, tc)
-        epoch_mse.append(_recon_mse(cae, train_imgs))
+    epoch_mse += _fit(cae, (train_imgs,), train_imgs, range(len(train_imgs)), loss_mse, tc, "cae-shuffle")
+    if tc.epochs:
+        epoch_mse[-1] = _recon_mse(cae, train_imgs)
 
     latent = cae.encode(ds.subcharts.reshape((-1,) + ds.subcharts.shape[2:]))
     encoded = np.ascontiguousarray(

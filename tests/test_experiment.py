@@ -102,11 +102,13 @@ class TestManifest:
         {"model": {"window": 0}},
         {"model": {"subchart_k": 0}},
         {"model": {"subchart_stride": 0}},
+        {"model": {"window": 2, "subchart_k": 3}},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
         "block_widths-empty", "pattern_widths-negative", "block_widths-float", "fc_dim-zero",
         "latent_dim-str", "window-zero", "subchart_k-zero", "subchart_stride-zero",
+        "window-below-subchart_k",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
@@ -153,6 +155,19 @@ class TestBuildDataset:
         after = {p.name: p.read_bytes() for p in sorted(ddir.rglob("*")) if p.is_file()}
         assert before == after
 
+    def test_rebuild_leaves_no_stale_files(self, tmp_path):
+        big = manifest(tmp_path, datasets=[{"name": "alpha", "synth": {"n": 600}}])
+        small = manifest(tmp_path, datasets=[{"name": "alpha", "synth": {"n": 200}}])
+        build_dataset(big, "alpha", tmp_path / "reused")
+        reused = build_dataset(small, "alpha", tmp_path / "reused")
+        fresh = build_dataset(small, "alpha", tmp_path / "fresh")
+
+        def tree(d):
+            return {p.relative_to(d): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+        assert tree(reused) == tree(fresh)
+        assert [p.name for p in reused.parent.iterdir()] == ["alpha"]
+
     def test_too_short_series_is_empty(self, tmp_path):
         man = manifest(tmp_path, datasets=[{"name": "tiny", "synth": {"n": 30}}])
         with pytest.raises(EmptyDataset):
@@ -192,6 +207,29 @@ class TestAssembly:
         ds = assemble_subchart_dataset([ddir], (16, 16), man.render_spec)
         assert ds.subcharts.shape[1] == 28
         assert ds.subcharts.shape[2:] == (3, 16, 16)
+
+    @pytest.mark.parametrize("damage,error", [
+        ("not-json", ManifestError),
+        ("not-object", ManifestError),
+        ("missing-key", ManifestError),
+        ("missing-ppm", SourceNotFound),
+    ], ids=["not-json", "not-object", "missing-key", "missing-ppm"])
+    def test_bad_dataset_dir_fails_both_assemblers(self, tmp_path, damage, error):
+        man = manifest(tmp_path)
+        ddir = build_dataset(man, "alpha")
+        path = ddir / "manifest.jsonl"
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[0])
+        if damage == "missing-ppm":
+            (ddir / row["history_image_path"]).unlink()
+        else:
+            del row["strength"]
+            lines[0] = {"not-json": "{not json", "not-object": "[1, 2]", "missing-key": json.dumps(row)}[damage]
+            path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error):
+            assemble_training_set([ddir], (32, 32), (16, 16), True)
+        with pytest.raises(error):
+            assemble_subchart_dataset([ddir], (16, 16), man.render_spec)
 
     def test_planted_signal_balanced_and_native_size(self):
         ts = planted_signal_set(n_samples=40, seed=3)

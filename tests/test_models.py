@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from candlekit.errors import (
     InvalidShape,
     LengthMismatch,
 )
+from candlekit.models import CAEModel
 from candlekit.rng import Rng
 
 from oracles import oracle_metrics
@@ -288,3 +291,29 @@ class TestTrainSubchartPipeline:
                           latent_dim=8, seq_len=s, seed=2)
         result = train_subchart_pipeline(ds, TrainConfig(epochs=3, batch_size=32, seed=4), cfg)
         assert 0.40 <= result.report.final_val_accuracy() <= 0.60
+
+    def test_cae_record_ends_are_full_reconstruction_passes(self):
+        # [0] and [-1] are the reconstruction MSE over every training crop
+        # before and after phase 1; epochs=0 gives one entry each
+        rng = np.random.default_rng(9)
+        n, s = 30, 6
+        ds = SubchartDataset(
+            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+            labels=(rng.random(n) < 0.5).astype(np.float32),
+            order=np.arange(n, dtype=np.int64),
+        )
+        cfg = ModelConfig(variant="cae", input_shape=(3, 8, 8), block_widths=(4, 8),
+                          latent_dim=8, seq_len=s, seed=2)
+        tc = TrainConfig(epochs=2, batch_size=16, seed=3)
+        tr, _va, _te = split_indices(ds.order, ds.member, tc)
+        crops = ds.subcharts[tr].reshape((-1, 3, 8, 8))
+
+        def recon_mse(cae):
+            recon, _ = cae.forward((crops,))
+            return float(np.mean(np.square(recon - crops, dtype=np.float64)))
+
+        result = train_subchart_pipeline(ds, tc, cfg)
+        assert result.cae_epoch_mse[0] == pytest.approx(recon_mse(CAEModel(cfg)), rel=1e-6)
+        assert result.cae_epoch_mse[-1] == pytest.approx(recon_mse(result.cae), rel=1e-6)
+        untrained = train_subchart_pipeline(ds, replace(tc, epochs=0), cfg)
+        assert len(untrained.cae_epoch_mse) == 1 and len(untrained.report.entries) == 1
