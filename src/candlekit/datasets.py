@@ -50,8 +50,12 @@ def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ManifestError(f"{path} row {n} is not JSON: {exc}") from exc
         if not (isinstance(row, dict) and set(_ROW_KEYS) <= row.keys()
-                and isinstance(row["end_index"], int)):
-            raise ManifestError(f"{path} row {n} needs keys {_ROW_KEYS} and an int end_index")
+                and type(row["end_index"]) is int
+                and isinstance(row["history_image_path"], str)
+                and isinstance(row["pattern_image_path"], str)):
+            raise ManifestError(
+                f"{path} row {n} needs keys {_ROW_KEYS}, an int end_index and str image paths"
+            )
         rows.append(row)
     if not rows:
         raise EmptyDataset(f"{path} holds no samples")

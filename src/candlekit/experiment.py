@@ -146,13 +146,27 @@ def _build_dc(cls, payload, what: str, *list_keys: str):
         raise ManifestError(f"bad {what} section: {exc}") from exc
 
 
+# Dataset and arm names become path components (``datasets/<name>``,
+# ``checkpoints/<dataset>__<arm>.ckpt``): no separator, no ``.``/``..``, and
+# no leading dot, so a dataset cannot be another's temp dir.
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
+
+def _check_name(name, what: str) -> None:
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise ManifestError(
+            f"{what} name {name!r} must be letters, digits, '_', '-' or '.', not led by '.'"
+        )
+
+
 def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManifest:
     """Manifest from a parsed JSON document.
 
-    Missing or duplicate names, wrong types for the document, its lists,
-    entries, sections, seed and synth ``n``, a render spec that fails
-    ``RenderSpec.validate`` and model settings that fail
-    ``ModelSettings.validate`` raise ManifestError here rather than mid-run.
+    Missing, duplicate or path-unsafe dataset and arm names, wrong types
+    for the document, its lists, entries, sections, seed and synth ``n``,
+    a render spec that fails ``RenderSpec.validate`` and model settings
+    that fail ``ModelSettings.validate`` raise ManifestError here rather
+    than mid-run.
     """
     if "master_seed" not in _expect(doc, dict, "manifest"):
         raise ManifestError("manifest must carry a master_seed")
@@ -160,7 +174,8 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     names: set[str] = set()
     for entry in _expect(doc.get("datasets", []), list, "datasets"):
         name = _expect(entry, dict, "dataset entry").get("name")
-        if not name or name in names:
+        _check_name(name, "dataset")
+        if name in names:
             raise ManifestError(f"dataset entries need unique names, got {name!r}")
         names.add(name)
         kinds = [k for k in ("csv_path", "synth", "members") if k in entry]
@@ -200,7 +215,8 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
             model=entry.get("model", "mini_cnn"),
             include_pattern=bool(entry.get("include_pattern", False)),
         )
-        if not arm.arm_name or arm.arm_name in arm_names:
+        _check_name(arm.arm_name, "arm")
+        if arm.arm_name in arm_names:
             raise ManifestError(f"arms need unique names, got {arm.arm_name!r}")
         if arm.model not in ARM_MODELS:
             raise ManifestError(f"arm model must be one of {ARM_MODELS}, got {arm.model!r}")
@@ -299,7 +315,7 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
         raise EmptyDataset(f"dataset {name!r} produced no admissible samples")
 
     ddir = root / "datasets" / name
-    tmp = ddir.with_name(f".{name}.tmp")
+    tmp = ddir.with_name(f".{ddir.name}.tmp")
     if tmp.exists():
         shutil.rmtree(tmp)
     (tmp / "history").mkdir(parents=True)

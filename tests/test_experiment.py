@@ -103,12 +103,20 @@ class TestManifest:
         {"model": {"subchart_k": 0}},
         {"model": {"subchart_stride": 0}},
         {"model": {"window": 2, "subchart_k": 3}},
+        {"datasets": [{"name": "..", "synth": {"n": 50}}]},
+        {"datasets": [{"name": ".", "synth": {"n": 50}}]},
+        {"datasets": [{"name": "/abs", "synth": {"n": 50}}]},
+        {"datasets": [{"name": "a/b", "synth": {"n": 50}}]},
+        {"datasets": [{"name": ".x.tmp", "synth": {"n": 50}}]},
+        {"datasets": [{"name": 7, "synth": {"n": 50}}]},
+        {"arms": [{"arm_name": "../x", "model": "mini_cnn"}]},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
         "block_widths-empty", "pattern_widths-negative", "block_widths-float", "fc_dim-zero",
         "latent_dim-str", "window-zero", "subchart_k-zero", "subchart_stride-zero",
-        "window-below-subchart_k",
+        "window-below-subchart_k", "name-dotdot", "name-dot", "name-abs", "name-sep",
+        "name-hidden", "name-int", "arm-name-sep",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
@@ -213,7 +221,10 @@ class TestAssembly:
         ("not-object", ManifestError),
         ("missing-key", ManifestError),
         ("missing-ppm", SourceNotFound),
-    ], ids=["not-json", "not-object", "missing-key", "missing-ppm"])
+        ("path-not-str", ManifestError),
+        ("end_index-bool", ManifestError),
+    ], ids=["not-json", "not-object", "missing-key", "missing-ppm", "path-not-str",
+            "end_index-bool"])
     def test_bad_dataset_dir_fails_both_assemblers(self, tmp_path, damage, error):
         man = manifest(tmp_path)
         ddir = build_dataset(man, "alpha")
@@ -222,6 +233,11 @@ class TestAssembly:
         row = json.loads(lines[0])
         if damage == "missing-ppm":
             (ddir / row["history_image_path"]).unlink()
+        elif damage in ("path-not-str", "end_index-bool"):
+            row.update({"path-not-str": {"history_image_path": None},
+                        "end_index-bool": {"end_index": True}}[damage])
+            lines[0] = json.dumps(row)
+            path.write_text("\n".join(lines) + "\n")
         else:
             del row["strength"]
             lines[0] = {"not-json": "{not json", "not-object": "[1, 2]", "missing-key": json.dumps(row)}[damage]
