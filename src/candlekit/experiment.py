@@ -19,6 +19,7 @@ output directories still produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import platform
 import re
 import shutil
@@ -95,8 +96,9 @@ class ModelSettings:
 
         Each ``*_hw`` is two positive ints, ``subchart_hw`` divisible by 4
         (the CAE halves it twice), widths non-empty and positive, the
-        scalar sizes at least 1, and ``window`` at least ``subchart_k`` (a
-        chart holds at least one sub-chart).
+        scalar sizes at least 1, ``window`` at least ``subchart_k`` (a
+        chart holds at least one sub-chart), and enough sub-charts per chart
+        for the CNN1D's ceil(len(block_widths) / 2) halving max-pools.
         """
         for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
             values = _expect(getattr(self, key), tuple, f"model {key}")
@@ -111,6 +113,13 @@ class ModelSettings:
                 raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
         if self.window < self.subchart_k:
             raise ManifestError(f"model window {self.window} is shorter than subchart_k {self.subchart_k}")
+        seq_len = (self.window - self.subchart_k) // self.subchart_stride + 1
+        need = 2 ** math.ceil(len(self.block_widths) / 2)
+        if seq_len < need:
+            raise ManifestError(
+                f"model window {self.window} gives {seq_len} sub-charts; "
+                f"{len(self.block_widths)} block widths need at least {need}"
+            )
 
 
 @dataclass
@@ -163,7 +172,8 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     """Manifest from a parsed JSON document.
 
     Missing, duplicate or path-unsafe dataset and arm names, wrong types
-    for the document, its lists, entries, sections, seed and synth ``n``,
+    for the document, its lists, entries, sections, seed, synth ``n``,
+    ``csv_path``, ``include_pattern`` and ``output_dir``,
     a render spec that fails ``RenderSpec.validate`` and model settings
     that fail ``ModelSettings.validate`` raise ManifestError here rather
     than mid-run.
@@ -184,7 +194,8 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
                 f"dataset {name!r} must have exactly one of csv_path/synth/members"
             )
         if "csv_path" in entry:
-            datasets.append(DatasetSpec(name=name, csv_path=entry["csv_path"]))
+            csv_path = _expect(entry["csv_path"], str, f"dataset {name!r} csv_path")
+            datasets.append(DatasetSpec(name=name, csv_path=csv_path))
         elif "synth" in entry:
             synth = dict(_expect(entry["synth"], dict, f"dataset {name!r} synth"))
             n = synth.pop("n", 0)
@@ -213,7 +224,7 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         arm = ArmSpec(
             arm_name=entry.get("arm_name", ""),
             model=entry.get("model", "mini_cnn"),
-            include_pattern=bool(entry.get("include_pattern", False)),
+            include_pattern=_expect(entry.get("include_pattern", False), bool, "arm include_pattern"),
         )
         _check_name(arm.arm_name, "arm")
         if arm.arm_name in arm_names:
@@ -240,7 +251,7 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
 
     return ExperimentManifest(
         master_seed=_expect(doc["master_seed"], int, "master_seed"),
-        output_dir=doc.get("output_dir", "out"),
+        output_dir=_expect(doc.get("output_dir", "out"), str, "output_dir"),
         datasets=datasets,
         arms=arms,
         pattern_params=_build_dc(PatternRuleParams, doc.get("pattern", {}), "pattern"),

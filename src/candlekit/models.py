@@ -183,7 +183,7 @@ class Model:
             grad = self.head.backward(grad, caches[-1])
         cuts = np.cumsum([t.output_shape[0] for t in self.towers])[:-1]
         for tower, g, cache in zip(self.towers, np.split(grad, cuts, axis=1), caches):
-            tower.backward(g, cache)
+            tower.backward(g, cache, _input_grad=False)  # towers take data
 
     def trainable(self):
         return [p for part in self.parts for p in part.trainable()]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import BadSpec
 from ..rng import Rng, derive_seed
@@ -24,7 +25,6 @@ from .layers import (
     NearestUpsample2D,
     ReLU,
     Reshape,
-    _pool_windows,
     backward,
     forward,
     init_params,
@@ -58,6 +58,13 @@ def _avoid_relu_kink(x: np.ndarray, h: float) -> np.ndarray:
     near = np.abs(x) < margin
     sign = np.where(x >= 0, 1.0, -1.0)
     return np.where(near, sign * margin, x)
+
+
+def _pool_windows(spec, x: np.ndarray) -> np.ndarray:
+    """Pool windows flattened row-major: (N, C, *out, k**rank)."""
+    v = sliding_window_view(x, (spec.k,) * spec.rank, axis=tuple(range(2, 2 + spec.rank)))
+    v = v[(slice(None), slice(None)) + (slice(None, None, spec.stride),) * spec.rank]
+    return v.reshape(*v.shape[: 2 + spec.rank], -1)
 
 
 def _pool_windows_ok(spec, x: np.ndarray, h: float) -> bool:

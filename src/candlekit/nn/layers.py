@@ -7,11 +7,15 @@ row-major window order so the backward routing is deterministic. Training
 runs in float32; gradient checking builds float64 parameters.
 
 Convolution and max-pool have one implementation for 1-D and 2-D: the
-spec classes differ only in their ``rank`` (the number of spatial axes),
-and every pass slides one k^rank window over the trailing axes.
-Conv lowers to channel-first im2col patches (N, C*k^rank, positions), so
-forward is one batched matmul; backward rebuilds the patches (no cache),
-and conv and max-pool route input gradients with one strided add per tap.
+spec classes differ only in their ``rank`` (the number of spatial axes).
+Conv pads its input once into a flat zero buffer (N, C, padded size + a
+row - 1), where each tap's patch row is one contiguous slice, and works on
+the stride-1 grid of whole padded rows: forward is one batched matmul over
+the channel-first patches, keeping every stride-th output of each row but
+its last k-1; backward rebuilds the patches (no cache) for the weight
+gradient and adds the patch gradient back with one flat add per tap.
+Max-pool forward keeps only the max of the k^rank strided tap views;
+backward routes each output to its first tap, row-major, equal to it.
 
 Output dims follow floor((in + 2*pad - kernel) / stride) + 1; a stack that
 would reach a nonpositive dim fails at build time with InvalidShape rather
@@ -98,15 +102,7 @@ class NearestUpsample2D:
 
 
 LayerSpec = (
-    Conv2D
-    | Conv1D
-    | MaxPool2D
-    | MaxPool1D
-    | Dense
-    | ReLU
-    | Sigmoid
-    | Flatten
-    | Reshape
+    Conv2D | Conv1D | MaxPool2D | MaxPool1D | Dense | ReLU | Sigmoid | Flatten | Reshape
     | NearestUpsample2D
 )
 
@@ -115,13 +111,9 @@ _CONV = (Conv1D, Conv2D)
 _POOL = (MaxPool1D, MaxPool2D)
 
 
-def _out_dim(n: int, k: int, s: int, p: int) -> int:
-    return (n + 2 * p - k) // s + 1
-
-
 def _window_dims(spec, spatial: tuple[int, ...], k: int, s: int, p: int, error) -> tuple:
     """Output spatial dims of a k-wide window at stride s; raises ``error`` below 1."""
-    dims = tuple(_out_dim(n, k, s, p) for n in spatial)
+    dims = tuple((n + 2 * p - k) // s + 1 for n in spatial)
     if min(dims) < 1:
         shown = "x".join(map(str, dims))
         raise error(f"{type(spec).__name__} would produce {shown} from {spatial}")
@@ -210,23 +202,24 @@ def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params:
     return Params(None, None)
 
 
-def _windows(x: np.ndarray, k: int, s: int, rank: int) -> np.ndarray:
-    """View (N, C, *out, *[k]*rank) of the k-wide windows at stride s over the last axes."""
-    v = sliding_window_view(x, (k,) * rank, axis=tuple(range(2, 2 + rank)))
-    return v[(slice(None), slice(None)) + (slice(None, None, s),) * rank]
+def _taps(k: int, s: int, dims: tuple[int, ...]) -> list[tuple]:
+    """Index of each tap's stride-s view with output ``dims``, in row-major tap order."""
+    taps = itertools.product(range(k), repeat=len(dims))
+    return [(..., *(slice(t, t + s * (d - 1) + 1, s) for t, d in zip(tap, dims))) for tap in taps]
 
 
-def _pool_windows(spec: MaxPool1D | MaxPool2D, x: np.ndarray) -> np.ndarray:
-    """Pool windows flattened row-major: (N, C, *out, k**rank)."""
-    v = _windows(x, spec.k, spec.stride, spec.rank)
-    return v.reshape(*v.shape[: 2 + spec.rank], -1)
+def _interior(buf: np.ndarray, padded: tuple[int, ...], pad: int, spatial: tuple[int, ...]):
+    """View (N, C, *spatial) of the unpadded input inside a flat padded buffer."""
+    v = buf[..., : math.prod(padded)].reshape(*buf.shape[:2], *padded)
+    return v[(..., *(slice(pad, pad + n) for n in spatial))]
 
 
-def _im2col(xp: np.ndarray, k: int, s: int, rank: int) -> np.ndarray:
-    """Padded input (N, C, *spatial) -> channel-first patches (N, C * k**rank, prod(out))."""
-    order = (0, 1, *range(2 + rank, 2 + 2 * rank), *range(2, 2 + rank))
-    v = np.ascontiguousarray(_windows(xp, k, s, rank).transpose(order))
-    return v.reshape(xp.shape[0], xp.shape[1] * k**rank, -1)
+def _patches(buf: np.ndarray, k: int, padded: tuple, grid: tuple) -> np.ndarray:
+    """Flat padded buffer -> channel-first patches (N, C * k**rank, grid size)."""
+    n, c, size = *buf.shape[:2], math.prod(grid)
+    v = sliding_window_view(buf, size, axis=-1)[:, :, : k * math.prod(padded[1:])]
+    v = v.reshape(n, c, k, *padded[1:], size)[(slice(None),) * 3 + (slice(0, k),) * (len(grid) - 1)]
+    return v.reshape(n, c * k ** len(grid), size)
 
 
 def forward(spec: LayerSpec, params: Params, x: np.ndarray):
@@ -237,19 +230,24 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
             name = type(spec).__name__
             raise ShapeMismatch(f"{name} expected (N, {spec.in_ch}, {r} dims), got {x.shape}")
         dims = _window_dims(spec, x.shape[2:], k, s, p, ShapeMismatch)
-        xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * r) if p else x
-        out = params.weight.reshape(spec.out_ch, -1) @ _im2col(xp, k, s, r)
-        out += params.bias[:, None]
-        return out.reshape(x.shape[0], spec.out_ch, *dims), (x.shape, xp)
+        padded = tuple(n + 2 * p for n in x.shape[2:])
+        grid = (padded[0] - k + 1, *padded[1:])  # stride-1 outputs over whole padded rows
+        # the last taps' slices run up to a row - 1 past the padded input
+        buf = np.zeros((*x.shape[:2], math.prod(padded) + math.prod(grid[1:]) - 1), dtype=x.dtype)
+        _interior(buf, padded, p, x.shape[2:])[...] = x
+        out = params.weight.reshape(spec.out_ch, -1) @ _patches(buf, k, padded, grid)
+        out = out.reshape(*out.shape[:2], *grid)[_taps(1, s, dims)[0]]
+        return out + params.bias[(slice(None),) + (None,) * r], (x.shape, buf, padded, grid)
     if isinstance(spec, _POOL):
         if x.ndim != spec.rank + 2:
             name = type(spec).__name__
             raise ShapeMismatch(f"{name} expected {spec.rank + 2}-d input, got {x.shape}")
-        _window_dims(spec, x.shape[2:], spec.k, spec.stride, 0, ShapeMismatch)
-        vf = _pool_windows(spec, x)
-        idx = vf.argmax(axis=-1)
-        y = np.take_along_axis(vf, idx[..., None], axis=-1)[..., 0]
-        return np.ascontiguousarray(y), (x.shape, idx)
+        dims = _window_dims(spec, x.shape[2:], spec.k, spec.stride, 0, ShapeMismatch)
+        taps = _taps(spec.k, spec.stride, dims)
+        y = x[taps[0]].copy()
+        for tap in taps[1:]:
+            np.maximum(y, x[tap], out=y)
+        return y, (x, y)
     if isinstance(spec, Dense):
         if x.ndim != 2 or x.shape[1] != spec.n_in:
             raise ShapeMismatch(f"Dense expected (N,{spec.n_in}), got {x.shape}")
@@ -257,11 +255,7 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
     if isinstance(spec, ReLU):
         return np.maximum(x, 0), x > 0
     if isinstance(spec, Sigmoid):
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        y = 0.5 * (1.0 + np.tanh(0.5 * x))  # no mask, and no exp to overflow
         np.clip(y, 1e-7, 1.0 - 1e-7, out=y)
         return y, y
     if isinstance(spec, Flatten):
@@ -276,38 +270,41 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
     raise BadSpec(f"unknown layer spec {spec!r}")
 
 
-def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray) -> np.ndarray:
-    """Exact reverse-mode gradient; accumulates into params.grad_w/grad_b."""
+def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray, need_dx: bool = True):
+    """Exact reverse-mode gradient; accumulates into params.grad_w/grad_b.
+    With ``need_dx`` false it skips the input gradient and returns None."""
+    if not (need_dx or params.has_params):
+        return None
     if isinstance(spec, _CONV):
-        x_shape, xp = cache
-        r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
-        dims = grad_out.shape[2:]
-        dout = grad_out.reshape(*grad_out.shape[:2], -1)
-        cols = _im2col(xp, k, s, r)
-        params.grad_w += (dout @ cols.transpose(0, 2, 1)).sum(0).reshape(params.weight.shape)
-        params.grad_b += dout.sum(axis=(0, 2))
+        (x_shape, buf, padded, grid), (n, o) = cache, grad_out.shape[:2]
+        dgrid = np.zeros((n, o, math.prod(grid)), dtype=grad_out.dtype)  # 0 off the outputs
+        dgrid.reshape(n, o, *grid)[_taps(1, spec.stride, grad_out.shape[2:])[0]] = grad_out
+        cols = _patches(buf, spec.kernel, padded, grid)
+        params.grad_w += (dgrid @ cols.transpose(0, 2, 1)).sum(0).reshape(params.weight.shape)
+        params.grad_b += grad_out.reshape(n, o, -1).sum(axis=(0, 2))
         del cols  # released before dcols is allocated, to keep peak memory down
-        w_mat = params.weight.reshape(spec.out_ch, -1)
-        dcols = (w_mat.T @ dout).reshape(*xp.shape[:2], *(k,) * r, *dims)
-        dxp = np.zeros_like(xp)
-        for tap in itertools.product(range(k), repeat=r):  # row-major, as the patch layout
-            dst = (slice(t, t + s * d, s) for t, d in zip(tap, dims))
-            dxp[(slice(None), slice(None), *dst)] += dcols[(slice(None), slice(None), *tap)]
-        crop = (slice(p, p + n) for n in x_shape[2:])
-        return dxp[(slice(None), slice(None), *crop)] if p else dxp
+        if not need_dx:
+            return None
+        dcols = (params.weight.reshape(o, -1).T @ dgrid).reshape(n, spec.in_ch, -1, dgrid.shape[2])
+        dbuf = np.zeros_like(buf)
+        taps = np.indices((spec.kernel,) * spec.rank).reshape(spec.rank, -1)  # row-major
+        for t, off in enumerate(np.ravel_multi_index(taps, padded)):
+            dbuf[..., off : off + dgrid.shape[2]] += dcols[:, :, t]
+        return _interior(dbuf, padded, spec.pad, x_shape[2:])
     if isinstance(spec, _POOL):
-        x_shape, idx = cache
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        taps = itertools.product(range(spec.k), repeat=spec.rank)  # row-major, as argmax's
-        for t, tap in enumerate(taps):
-            dst = (slice(o, o + spec.stride * d, spec.stride) for o, d in zip(tap, idx.shape[2:]))
-            dx[(slice(None), slice(None), *dst)] += np.where(idx == t, grad_out, 0)
+        x, y = cache
+        dx = np.zeros(x.shape, dtype=grad_out.dtype)
+        free = np.ones(y.shape, dtype=bool)  # outputs not yet routed to a tap
+        for tap in _taps(spec.k, spec.stride, y.shape[2:]):  # first max in row-major order
+            hit = free & (x[tap] == y)
+            dx[tap] += np.where(hit, grad_out, 0)
+            free ^= hit
         return dx
     if isinstance(spec, Dense):
         x = cache
         params.grad_w += x.T @ grad_out
         params.grad_b += grad_out.sum(axis=0)
-        return grad_out @ params.weight.T
+        return grad_out @ params.weight.T if need_dx else None
     if isinstance(spec, ReLU):
         mask = cache
         return grad_out * mask
@@ -317,7 +314,8 @@ def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray) -> np
     if isinstance(spec, (Flatten, Reshape)):
         return grad_out.reshape(cache)
     if isinstance(spec, NearestUpsample2D):
-        f = spec.factor
-        n, c, h, w = cache
-        return grad_out.reshape(n, c, h, f, w, f).sum(axis=(3, 5))
+        dx = np.zeros(cache, dtype=grad_out.dtype)
+        for tap in _taps(spec.factor, spec.factor, cache[2:]):  # a sum over f x f windows
+            dx += grad_out[tap]
+        return dx
     raise BadSpec(f"unknown layer spec {spec!r}")

@@ -45,10 +45,17 @@ class Sequential:
         y, _ = self.forward(x)
         return y
 
-    def backward(self, grad: np.ndarray, caches: list) -> np.ndarray:
-        for spec, p, cache in zip(reversed(self.specs), reversed(self.params), reversed(caches)):
-            grad = backward(spec, p, cache, grad)
-            _check_finite(grad, f"backward {type(spec).__name__}")
+    def backward(self, grad: np.ndarray, caches: list, *, _input_grad: bool = True):
+        """Gradient w.r.t. the stack's input, accumulating parameter gradients.
+
+        A model passes ``_input_grad=False`` for a tower that takes data: the
+        first layer then skips its input gradient and None comes back.
+        """
+        for i in reversed(range(len(self.specs))):
+            spec = self.specs[i]
+            grad = backward(spec, self.params[i], caches[i], grad, need_dx=i > 0 or _input_grad)
+            if grad is not None:
+                _check_finite(grad, f"backward {type(spec).__name__}")
         return grad
 
     def trainable(self) -> list[Params]:

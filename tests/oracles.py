@@ -1,7 +1,7 @@
 """Independent straight-line oracles used to cross-check the library.
 
 Everything here is written longhand from plain OHLC tuples (and, for the
-convolution and max-pool oracles, nested lists) on purpose: no shared
+convolution, max-pool and upsample oracles, nested lists) on purpose: no shared
 helpers with the package, no enum dispatch, no vectorization. If the
 library and these functions agree, the agreement is between two
 separately written routes.
@@ -222,3 +222,23 @@ def oracle_maxpool(x, kh, kw, stride, grad_out):
                     out[n][c][oy][ox] = float(x[n][c][best_y][best_x])
                     dx[n][c][best_y][best_x] += float(grad_out[n][c][oy][ox])
     return out, dx
+
+
+def oracle_upsample_grad(grad_out, f):
+    """Input gradient of an f-fold nearest-neighbor upsample, by loop nest.
+
+    ``grad_out`` is N x C x (H*f) x (W*f). Input pixel (y, x) was copied to
+    the f x f block whose corner is (y*f, x*f), so its gradient is the sum
+    of ``grad_out`` over that block. Returns the N x C x H x W gradient.
+    """
+    n_count, c_count = len(grad_out), len(grad_out[0])
+    height, width = len(grad_out[0][0]) // f, len(grad_out[0][0][0]) // f
+    dx = [[[[0.0] * width for _ in range(height)] for _ in range(c_count)] for _ in range(n_count)]
+    for n in range(n_count):
+        for c in range(c_count):
+            for y in range(height):
+                for x in range(width):
+                    for i in range(f):
+                        for j in range(f):
+                            dx[n][c][y][x] += float(grad_out[n][c][y * f + i][x * f + j])
+    return dx

@@ -48,7 +48,8 @@ BASE_DOC = {
 def manifest(tmp_path, **overrides):
     doc = json.loads(json.dumps(BASE_DOC))
     doc.update(overrides)
-    doc["output_dir"] = str(tmp_path / doc["output_dir"])
+    if isinstance(doc["output_dir"], str):  # a bad one goes to the loader as it is
+        doc["output_dir"] = str(tmp_path / doc["output_dir"])
     return manifest_from_dict(doc, base_dir=tmp_path)
 
 
@@ -110,13 +111,18 @@ class TestManifest:
         {"datasets": [{"name": ".x.tmp", "synth": {"n": 50}}]},
         {"datasets": [{"name": 7, "synth": {"n": 50}}]},
         {"arms": [{"arm_name": "../x", "model": "mini_cnn"}]},
+        {"arms": [{"arm_name": "x", "model": "two_stream", "include_pattern": "no"}]},
+        {"datasets": [{"name": "a", "csv_path": 5}]},
+        {"output_dir": 5},
+        {"model": {"window": 3, "subchart_k": 3, "block_widths": [4, 8]}},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
         "block_widths-empty", "pattern_widths-negative", "block_widths-float", "fc_dim-zero",
         "latent_dim-str", "window-zero", "subchart_k-zero", "subchart_stride-zero",
         "window-below-subchart_k", "name-dotdot", "name-dot", "name-abs", "name-sep",
-        "name-hidden", "name-int", "arm-name-sep",
+        "name-hidden", "name-int", "arm-name-sep", "include_pattern-str", "csv_path-int",
+        "output_dir-int", "window-too-short-for-cnn1d",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):

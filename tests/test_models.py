@@ -259,6 +259,35 @@ class TestTwoStreamConsistency:
         norms = [float(np.abs(p.grad_w).sum()) for p in two.towers[1].trainable()]
         assert all(n > 0 for n in norms)
 
+    def test_backward_skips_only_the_tower_input_gradients(self):
+        # Model.backward drops each tower's input gradient; the parameter
+        # gradients must equal those of a full backward through every tower.
+        from candlekit.nn import loss_bce
+
+        two = TwoStream(TS_CFG)
+        ts = random_training_set(n=8, seed=9, two_stream=True)
+        probs, caches = two.forward((ts.inputs, ts.pattern))
+        _, grad = loss_bce(probs, ts.labels)
+
+        def grads():
+            out = [a.copy() for p in two.trainable() for a in (p.grad_w, p.grad_b)]
+            for p in two.trainable():
+                p.grad_w[...] = 0
+                p.grad_b[...] = 0
+            return out
+
+        two.backward(grad, caches)
+        skipped = grads()
+        g = two.head.backward(grad.reshape(-1, 1), caches[-1])
+        cut = two.towers[0].output_shape[0]
+        for tower, g_t, cache, x in zip(two.towers, np.split(g, [cut], axis=1), caches,
+                                        (ts.inputs, ts.pattern)):
+            assert tower.backward(g_t, cache).shape == x.shape
+        full = grads()
+        assert len(skipped) == len(full) == 2 * len(two.trainable())
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(skipped, full))
+        assert all(np.abs(a).sum() > 0 for a in skipped[::2])
+
 
 class TestTrainSubchartPipeline:
     def test_shapes_and_phase1_progress(self):

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from oracles import oracle_conv, oracle_maxpool
+from oracles import oracle_conv, oracle_maxpool, oracle_upsample_grad
 
 from candlekit import nn
 from candlekit.errors import (
@@ -105,6 +105,14 @@ class TestForward:
         y, _ = nn.forward(spec, nn.init_params(spec, 0), x)
         assert ((y > 0) & (y < 1)).all()
 
+    def test_sigmoid_saturates_inside_the_clip_bounds(self):
+        spec = nn.Sigmoid()
+        x = np.array([-1e4, -90.0, 0.0, 90.0, 1e4], dtype=np.float32)
+        y, _ = nn.forward(spec, nn.init_params(spec, 0), x)
+        y64 = y.astype(np.float64)
+        assert y.dtype == np.float32 and ((y64 >= 1e-7) & (y64 <= 1 - 1e-7)).all()
+        assert y[0] == y[1] and y[3] == y[4] and y[2] == 0.5
+
     def test_relu_backward_routing(self):
         spec = nn.ReLU()
         p = nn.init_params(spec, 0)
@@ -180,7 +188,7 @@ def _rows(a, rank):
 
 
 class TestOracles:
-    """Forward and backward of conv and max-pool against longhand loop nests."""
+    """Conv and max-pool passes, and upsample backward, against longhand loop nests."""
 
     @pytest.mark.parametrize("dtype", ORACLE_DTYPES, ids=lambda d: d.__name__)
     @pytest.mark.parametrize("spec", [
@@ -205,7 +213,9 @@ class TestOracles:
     @pytest.mark.parametrize("dtype", ORACLE_DTYPES, ids=lambda d: d.__name__)
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     @pytest.mark.parametrize("spec", [
-        nn.MaxPool1D(2, 2), nn.MaxPool1D(3, 2), nn.MaxPool2D(2, 2), nn.MaxPool2D(3, 2)
+        nn.MaxPool1D(2, 2), nn.MaxPool1D(3, 2), nn.MaxPool2D(2, 2), nn.MaxPool2D(3, 2),
+        # overlapping windows: one input is a different tap of each window holding it
+        nn.MaxPool1D(3, 1), nn.MaxPool2D(3, 1),
     ], ids=lambda m: f"{type(m).__name__}-k{m.k}-s{m.stride}")
     def test_maxpool(self, spec, ties, dtype):
         rng = np.random.default_rng(4)
@@ -218,6 +228,17 @@ class TestOracles:
         kh = spec.k if r == 2 else 1
         want = oracle_maxpool(_rows(x, r).tolist(), kh, spec.k, spec.stride, _rows(g, r).tolist())
         assert _close(_rows(y, r), want[0], dtype) and _close(_rows(dx, r), want[1], dtype)
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES, ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("factor", [1, 2, 3])
+    def test_upsample_backward(self, factor, dtype):
+        spec = nn.NearestUpsample2D(factor)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        y, cache = nn.forward(spec, nn.init_params(spec, 0), x)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        dx = nn.backward(spec, nn.init_params(spec, 0), cache, g)
+        assert _close(dx, oracle_upsample_grad(g.tolist(), factor), dtype)
 
 
 class TestLosses:
