@@ -61,7 +61,6 @@ from .patterns import (
     PatternMatch,
     PatternRuleParams,
     detect_all,
-    direction_of,
     match_at,
     span_of,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "build_model",
     "build_samples",
     "detect_all",
-    "direction_of",
     "evaluate",
     "inverse_parse",
     "match_at",

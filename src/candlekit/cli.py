@@ -16,8 +16,8 @@ from .decompose import subcharts
 from .errors import CandlekitError, ManifestError
 from .experiment import (
     ExperimentManifest,
+    _members,
     build_dataset,
-    ensure_datasets,
     evaluate_checkpoint,
     load_manifest,
     load_report,
@@ -127,7 +127,7 @@ def _cmd_train(args) -> int:
     man = _require_manifest(args)
     arm = _find_arm(man, args.arm)
     out_root = Path(man.output_dir)
-    dirs = ensure_datasets(man)
+    dirs = {m: build_dataset(man, m) for m in _members(man, args.dataset)}
     outcome = run_arm(man, dirs, args.dataset, arm, out_root)
     run_dir = out_root / "train" / f"{args.dataset}__{arm.arm_name}"
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, help="override output_dir")
     p.set_defaults(fn=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a mini_cnn/two_stream checkpoint on the test partition")
+    p = sub.add_parser("eval", help="evaluate an arm's checkpoint on the test partition")
     _add_common(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--arm", required=True)

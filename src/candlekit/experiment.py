@@ -42,9 +42,12 @@ from .models import (
     TrainReport,
     batch_inputs,
     build_model,
+    encode_subcharts,
     evaluate,
     predict,
+    set_arrays,
     split_indices,
+    subchart_models,
     train,
     train_subchart_pipeline,
 )
@@ -363,20 +366,12 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
     return ddir
 
 
-def ensure_datasets(man: ExperimentManifest, out_root: Path | None = None) -> dict[str, Path]:
-    """Build every concrete dataset; returns name -> directory."""
-    dirs: dict[str, Path] = {}
-    for ds in man.datasets:
-        if not ds.is_merge:
-            dirs[ds.name] = build_dataset(man, ds.name, out_root)
-    return dirs
-
-
-def _member_dirs(man: ExperimentManifest, dirs: dict[str, Path], name: str) -> list[Path]:
-    ds = next(d for d in man.datasets if d.name == name)
-    if ds.is_merge:
-        return [dirs[m] for m in ds.members]
-    return [dirs[name]]
+def _members(man: ExperimentManifest, name: str) -> tuple[str, ...]:
+    """The concrete datasets that dataset ``name`` reads: a merge's members, else itself."""
+    ds = next((d for d in man.datasets if d.name == name), None)
+    if ds is None:
+        raise ManifestError(f"dataset {name!r} not in manifest")
+    return ds.members or (name,)
 
 
 def _model_config(man: ExperimentManifest, ds_name: str, arm: ArmSpec) -> ModelConfig:
@@ -420,11 +415,15 @@ def _arm_row(ds_name: str, arm: ArmSpec, error: str | None = None, **fields) -> 
     }
 
 
-def _training_set(man: ExperimentManifest, dirs: dict[str, Path], ds_name: str, arm: ArmSpec) -> TrainingSet:
+def _assemble(man: ExperimentManifest, dirs: dict[str, Path], ds_name: str, arm: ArmSpec):
+    """The arm's ``TrainingSet`` or ``SubchartDataset``, read from ``ds_name``'s member dirs."""
     ms = man.model_settings
-    return assemble_training_set(
-        _member_dirs(man, dirs, ds_name), ms.hist_hw, ms.pattern_hw, include_pattern=arm.include_pattern
-    )
+    member_dirs = [dirs[m] for m in _members(man, ds_name)]
+    if arm.model == "subchart":
+        return assemble_subchart_dataset(
+            member_dirs, ms.subchart_hw, man.render_spec, k=ms.subchart_k, stride=ms.subchart_stride
+        )
+    return assemble_training_set(member_dirs, ms.hist_hw, ms.pattern_hw, include_pattern=arm.include_pattern)
 
 
 def _test_report(model: Model, ts: TrainingSet, tc: TrainConfig) -> EvalReport:
@@ -440,30 +439,25 @@ def run_arm(
     arm: ArmSpec,
     out_root: Path,
 ) -> ArmOutcome:
-    """Train and test one (dataset, arm) pair; saves checkpoints."""
+    """Train and test one (dataset, arm) pair; saves ``checkpoints/<dataset>__<arm>.ckpt``.
+
+    That one file holds the model's arrays: for the subchart arm, the CAE's, then the CNN1D's.
+    """
     cfg = _model_config(man, ds_name, arm)
     tc = _train_config(man, ds_name, arm)
     (out_root / "checkpoints").mkdir(parents=True, exist_ok=True)
-    stem = f"checkpoints/{ds_name}__{arm.arm_name}"
+    data = _assemble(man, dirs, ds_name, arm)
     extra: dict = {}
     if arm.model == "subchart":
-        ms = man.model_settings
-        sub_ds = assemble_subchart_dataset(
-            _member_dirs(man, dirs, ds_name), ms.subchart_hw, man.render_spec,
-            k=ms.subchart_k, stride=ms.subchart_stride,
-        )
-        result = train_subchart_pipeline(sub_ds, tc, cfg)
-        model, ts, report = result.cnn1d, result.training_set, result.report
-        saved = {f"{stem}__cae.ckpt": result.cae, f"{stem}__cnn1d.ckpt": model}
+        result = train_subchart_pipeline(data, tc, cfg)
+        parts, ts, report = (result.cae, result.cnn1d), result.training_set, result.report
         extra = {"cae_mse_first": result.cae_epoch_mse[0], "cae_mse_final": result.cae_epoch_mse[-1]}
     else:
-        ts = _training_set(man, dirs, ds_name, arm)
-        model = build_model(cfg)
-        report = train(model, ts, tc)
-        saved = {f"{stem}.ckpt": model}
-    rep = _test_report(model, ts, tc)
-    for rel, m in saved.items():
-        save_arrays(out_root / rel, m.arrays())
+        parts, ts = (build_model(cfg),), data
+        report = train(parts[0], ts, tc)
+    rep = _test_report(parts[-1], ts, tc)
+    checkpoint = f"checkpoints/{ds_name}__{arm.arm_name}.ckpt"
+    save_arrays(out_root / checkpoint, [a for part in parts for a in part.arrays()])
     strong = int(np.sum(ts.labels == 1.0))
     row = _arm_row(
         ds_name,
@@ -475,7 +469,7 @@ def run_arm(
         n_test=report.n_test,
         class_balance={"strong": strong, "weak": len(ts) - strong},
         metrics={"accuracy": rep.accuracy, "f1": rep.f1, "auc": rep.auc},
-        checkpoints=list(saved),
+        checkpoint=checkpoint,
         **extra,
     )
     return ArmOutcome(row=row, train_report=report)
@@ -484,14 +478,18 @@ def run_arm(
 def evaluate_checkpoint(
     man: ExperimentManifest, ds_name: str, arm: ArmSpec, checkpoint: str | Path
 ) -> EvalReport:
-    """Test-partition metrics of saved classifier weights, split as :func:`run_arm` does."""
-    if arm.model == "subchart":
-        raise ManifestError("eval supports mini_cnn/two_stream arms; rerun subchart arms via train")
+    """Test-partition metrics of any arm's :func:`run_arm` checkpoint, split as that run split.
+
+    Builds only the datasets that ``ds_name`` reads.
+    """
     arrays = load_arrays(checkpoint)
-    ts = _training_set(man, ensure_datasets(man), ds_name, arm)
-    model = build_model(_model_config(man, ds_name, arm))
-    model.set_arrays(arrays)
-    return _test_report(model, ts, _train_config(man, ds_name, arm))
+    dirs = {m: build_dataset(man, m) for m in _members(man, ds_name)}
+    data = _assemble(man, dirs, ds_name, arm)
+    cfg = _model_config(man, ds_name, arm)
+    parts = subchart_models(data, cfg) if arm.model == "subchart" else (build_model(cfg),)
+    set_arrays(parts, arrays)
+    ts = encode_subcharts(parts[0], data) if arm.model == "subchart" else data
+    return _test_report(parts[-1], ts, _train_config(man, ds_name, arm))
 
 
 @dataclass
@@ -539,9 +537,7 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
 
     rows: list[dict] = []
     for ds in man.datasets:
-        broken = build_errors.get(ds.name) or next(
-            (build_errors[m] for m in ds.members if m in build_errors), None
-        )
+        broken = next((build_errors[m] for m in _members(man, ds.name) if m in build_errors), None)
         for arm in man.arms:
             if broken is not None:
                 rows.append(_arm_row(ds.name, arm, error=broken))

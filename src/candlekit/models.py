@@ -192,13 +192,18 @@ class Model:
         return [a for part in self.parts for a in part.arrays()]
 
     def set_arrays(self, arrays) -> None:
-        counts = [len(part.arrays()) for part in self.parts]
-        if sum(counts) != len(arrays):
-            raise ShapeMismatch(f"expected {sum(counts)} arrays, got {len(arrays)}")
-        start = 0
-        for part, n in zip(self.parts, counts):
-            part.set_arrays(arrays[start : start + n])
-            start += n
+        set_arrays(self.parts, arrays)
+
+
+def set_arrays(parts, arrays) -> None:
+    """Load checkpoint ``arrays`` into ``parts`` in turn, each taking as many as it holds."""
+    counts = [len(part.arrays()) for part in parts]
+    if sum(counts) != len(arrays):
+        raise ShapeMismatch(f"expected {sum(counts)} arrays, got {len(arrays)}")
+    start = 0
+    for part, n in zip(parts, counts):
+        part.set_arrays(arrays[start : start + n])
+        start += n
 
 
 def _dense_head(n_in: int, fc_dim: int) -> list:
@@ -512,6 +517,20 @@ def _recon_mse(cae: CAEModel, images: np.ndarray) -> float:
     return total / images.size
 
 
+def subchart_models(ds: SubchartDataset, cfg: ModelConfig) -> tuple[CAEModel, CNN1DModel]:
+    """The untrained CAE and CNN1D for ``ds``'s sub-chart image shape and count."""
+    cae = CAEModel(replace(cfg, variant="cae", input_shape=tuple(ds.subcharts.shape[2:])))
+    return cae, CNN1DModel(replace(cfg, variant="cnn1d", seq_len=ds.subcharts.shape[1]))
+
+
+def encode_subcharts(cae: CAEModel, ds: SubchartDataset) -> TrainingSet:
+    """Every sample's sub-chart sequence encoded into a (latent_dim, S) tensor."""
+    n, s = ds.subcharts.shape[:2]
+    latent = cae.encode(ds.subcharts.reshape((-1,) + ds.subcharts.shape[2:]))
+    encoded = np.ascontiguousarray(latent.reshape(n, s, cae.cfg.latent_dim).transpose(0, 2, 1))
+    return TrainingSet(inputs=encoded, labels=ds.labels, order=ds.order, member=ds.member)
+
+
 def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConfig) -> SubchartPipelineResult:
     """Two-phase decompose pipeline.
 
@@ -523,25 +542,15 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     CNN1D on the strength labels with BCE. The result carries that encoded
     training set, so callers slice it rather than encode again.
     """
-    n, s = ds.subcharts.shape[0], ds.subcharts.shape[1]
     tr, _va, _te = split_indices(ds.order, ds.member, tc)
-
-    cae_cfg = replace(cfg, variant="cae", input_shape=tuple(ds.subcharts.shape[2:]))
-    cae = CAEModel(cae_cfg)
+    cae, cnn1d = subchart_models(ds, cfg)
     train_imgs = ds.subcharts[tr].reshape((-1,) + ds.subcharts.shape[2:])
     epoch_mse = [_recon_mse(cae, train_imgs)]
     epoch_mse += _fit(cae, (train_imgs,), train_imgs, range(len(train_imgs)), loss_mse, tc, "cae-shuffle")
     if tc.epochs:
         epoch_mse[-1] = _recon_mse(cae, train_imgs)
 
-    latent = cae.encode(ds.subcharts.reshape((-1,) + ds.subcharts.shape[2:]))
-    encoded = np.ascontiguousarray(
-        latent.reshape(n, s, cfg.latent_dim).transpose(0, 2, 1)
-    )
-    clf_ts = TrainingSet(
-        inputs=encoded, labels=ds.labels, order=ds.order, member=ds.member
-    )
-    cnn1d = CNN1DModel(replace(cfg, variant="cnn1d", seq_len=s))
+    clf_ts = encode_subcharts(cae, ds)
     report = train(cnn1d, clf_ts, tc)
     return SubchartPipelineResult(
         cae=cae, cnn1d=cnn1d, cae_epoch_mse=epoch_mse, training_set=clf_ts, report=report

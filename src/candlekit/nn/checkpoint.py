@@ -72,6 +72,6 @@ def save_arrays(path: str | Path, arrays: list[np.ndarray]) -> None:
 def load_arrays(path: str | Path) -> list[np.ndarray]:
     try:
         data = Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise SourceNotFound(f"checkpoint not found: {path}") from exc
+    except OSError as exc:
+        raise SourceNotFound(f"checkpoint cannot be read: {path}: {exc.strerror}") from exc
     return bytes_to_arrays(data)

@@ -79,10 +79,6 @@ def span_of(kind: PatternKind) -> int:
     return _SPAN[kind]
 
 
-def direction_of(kind: PatternKind) -> Direction:
-    return _DIRECTION[kind]
-
-
 @dataclass(frozen=True)
 class PatternMatch:
     kind: PatternKind

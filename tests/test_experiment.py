@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from candlekit.datasets import (
 )
 from candlekit.errors import EmptyDataset, ManifestError, SourceNotFound
 from candlekit.experiment import (
+    _model_config,
     build_dataset,
     load_manifest,
     manifest_from_dict,
     render_report,
     run_experiment,
 )
+from candlekit.models import build_model
+from candlekit.nn import arrays_to_bytes
 from candlekit.raster import read_ppm
 
 BASE_DOC = {
@@ -353,14 +357,14 @@ class TestCli:
         man_path.write_text(json.dumps(doc))
         return man_path
 
-    @pytest.mark.parametrize("arm", ["with_pattern", "non_pattern"])
+    @pytest.mark.parametrize("arm", ["with_pattern", "non_pattern", "sub"])
     def test_eval_reproduces_train_metrics(self, tmp_path, capsys, arm):
         man_path = self._tiny_manifest(tmp_path)
         common = ["--manifest", str(man_path), "--dataset", "alpha", "--arm", arm]
         assert cli_main(["train", *common]) == 0
         row = json.loads((tmp_path / "out" / "train" / f"alpha__{arm}" / "row.json").read_text())
         capsys.readouterr()
-        ckpt = tmp_path / "out" / row["checkpoints"][0]
+        ckpt = tmp_path / "out" / row["checkpoint"]
         assert cli_main(["eval", *common, "--checkpoint", str(ckpt)]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert {k: rep[k] for k in ("accuracy", "f1", "auc")} == row["metrics"]
@@ -371,19 +375,60 @@ class TestCli:
 
     @pytest.mark.parametrize("arm,checkpoint", [
         ("sub", None),
+        ("sub", "non_pattern"),
         ("non_pattern", b"CKPT\x01\x00"),
         ("non_pattern", None),
+        ("non_pattern", "directory"),
     ])
     def test_eval_errors_exit_2(self, tmp_path, capsys, arm, checkpoint):
-        # a subchart arm, a 6-byte checkpoint, a checkpoint path with no file
+        # a subchart checkpoint path with no file; the non_pattern arm's arrays
+        # handed to the subchart arm (12 arrays where the CAE and CNN1D hold 16);
+        # a 6-byte checkpoint; a checkpoint path with no file; a directory
         ckpt = tmp_path / "model.ckpt"
-        if checkpoint is not None:
-            ckpt.write_bytes(checkpoint)
         man_path = self._tiny_manifest(tmp_path)
+        if checkpoint == "non_pattern":
+            man = load_manifest(man_path)
+            model = build_model(_model_config(man, "alpha", man.arms[1]))
+            ckpt.write_bytes(arrays_to_bytes(model.arrays()))
+        elif checkpoint == "directory":
+            ckpt.mkdir()
+        elif checkpoint is not None:
+            ckpt.write_bytes(checkpoint)
         argv = ["eval", "--manifest", str(man_path), "--dataset", "alpha", "--arm", arm,
                 "--checkpoint", str(ckpt)]
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unknown_dataset_exits_2(self, tmp_path, capsys, command):
+        man_path = self._tiny_manifest(tmp_path)
+        ckpt = tmp_path / "empty.ckpt"
+        ckpt.write_bytes(arrays_to_bytes([]))  # loads, so eval reaches the dataset lookup
+        argv = [command, "--manifest", str(man_path), "--dataset", "nope", "--arm", "non_pattern"]
+        if command == "eval":
+            argv += ["--checkpoint", str(ckpt)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "datasets").exists()
+
+    @pytest.mark.parametrize("dataset,members", [
+        ("alpha", {"alpha"}),
+        ("merged", {"alpha", "beta"}),
+    ], ids=["concrete", "merge"])
+    def test_train_and_eval_build_only_members(self, tmp_path, capsys, dataset, members):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["datasets"].append({"name": "gamma", "synth": {"n": 320}})
+        doc["output_dir"] = str(tmp_path / "out")
+        man_path = tmp_path / "man.json"
+        man_path.write_text(json.dumps(doc))
+        common = ["--manifest", str(man_path), "--dataset", dataset, "--arm", "non_pattern"]
+        datasets = tmp_path / "out" / "datasets"
+        assert cli_main(["train", *common]) == 0
+        assert {p.name for p in datasets.iterdir()} == members
+        shutil.rmtree(datasets)
+        ckpt = tmp_path / "out" / "checkpoints" / f"{dataset}__non_pattern.ckpt"
+        assert cli_main(["eval", *common, "--checkpoint", str(ckpt)]) == 0
+        assert {p.name for p in datasets.iterdir()} == members
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--csv", "nope.csv"],

@@ -3,10 +3,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import oracle_conv, oracle_maxpool, oracle_upsample_grad
 
 from candlekit import nn
 from candlekit.errors import (
+    CandlekitError,
     CorruptCheckpoint,
     InvalidShape,
     MalformedHeader,
@@ -347,3 +350,24 @@ class TestCheckpoint:
         for data in (good[:6], good + b"\x00", overflowing_dims):
             with pytest.raises(CorruptCheckpoint):
                 nn.bytes_to_arrays(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.one_of(
+            st.just(b""),
+            # a valid stream header, then the ndim and dims of a first array
+            st.builds(
+                lambda count, dims: b"CKPT" + struct.pack(f"<III{len(dims)}I", 1, count, len(dims), *dims),
+                st.integers(0, 3),
+                st.lists(st.integers(0, 4), max_size=3),
+            ),
+        ),
+        tail=st.binary(max_size=64),
+    )
+    def test_arbitrary_bytes_give_arrays_or_candlekit_error(self, head, tail):
+        data = head + tail
+        try:
+            arrays = nn.bytes_to_arrays(data)
+        except CandlekitError:
+            return
+        assert nn.arrays_to_bytes(arrays) == data  # an accepted stream is canonical

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candlekit import (
     Candle,
@@ -18,6 +20,7 @@ from candlekit import (
 )
 from candlekit.errors import (
     BadSpec,
+    CandlekitError,
     EmptyWindow,
     MalformedHeader,
     SpanMismatch,
@@ -158,6 +161,21 @@ class TestPpm:
         img = RasterImage(np.zeros((1, 1, 3), dtype=np.uint8))
         data = b"P6\n# a comment\n1 1\n255\n\x00\x00\x00"
         assert read_ppm(data) == img
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        size=st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 4))),
+        tail=st.binary(max_size=64),
+    )
+    def test_arbitrary_bytes_give_image_or_candlekit_error(self, size, tail):
+        head = b"" if size is None else f"P6\n{size[0]} {size[1]}\n255\n".encode()
+        try:
+            img = read_ppm(head + tail)
+        except CandlekitError:
+            return
+        assert img.pixels.dtype == np.uint8 and img.pixels.shape[2] == 3
+        if size is not None:
+            assert img.pixels.shape == (size[1], size[0], 3)
 
 
 class TestResize:
