@@ -28,7 +28,9 @@ VERSION = 1
 def arrays_to_bytes(arrays: list[np.ndarray]) -> bytes:
     parts = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
     for a in arrays:
-        a32 = np.ascontiguousarray(a, dtype="<f4")
+        # asarray, not ascontiguousarray: the latter turns a 0-d array into
+        # shape (1,). tobytes() writes row-major whatever the memory layout.
+        a32 = np.asarray(a, dtype="<f4")
         parts.append(struct.pack("<I", a32.ndim))
         parts.append(struct.pack(f"<{a32.ndim}I", *a32.shape))
         parts.append(a32.tobytes())

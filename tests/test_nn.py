@@ -340,6 +340,12 @@ class TestCheckpoint:
         for a, b in zip(arrays, back):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
+    def test_scalar_and_strided_arrays_keep_their_shape(self):
+        arrays = [np.array(2.5, dtype=np.float32), np.arange(12, dtype=np.float32).reshape(3, 4).T]
+        back = nn.bytes_to_arrays(nn.arrays_to_bytes(arrays))
+        for a, b in zip(arrays, back):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_header_and_truncation_errors(self):
         with pytest.raises(MalformedHeader):
             nn.bytes_to_arrays(b"NOPE" + b"\x00" * 8)
