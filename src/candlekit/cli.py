@@ -26,6 +26,7 @@ from .experiment import (
     run_arm,
     run_experiment,
 )
+from .fileio import write_atomic
 from .market_data import Series, parse_csv, synth_series, window
 from .patterns import PatternRuleParams, detect_all
 from .raster import RenderSpec, read_ppm, render_window, write_ppm
@@ -98,7 +99,7 @@ def _cmd_render(args) -> int:
     end_index = args.end_index if args.end_index is not None else len(series) - 1
     w = min(args.window, end_index + 1)
     img = render_window(window(series, end_index, w), spec)
-    args.out.write_bytes(write_ppm(img))
+    write_atomic(args.out, write_ppm(img))
     print(args.out)
     return 0
 
@@ -111,7 +112,7 @@ def _cmd_decompose(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, crop in enumerate(subcharts(img, spec, k=args.k, stride=args.stride)):
         path = out_dir / f"{args.image.stem}.sub{i}.ppm"
-        path.write_bytes(write_ppm(crop))
+        write_atomic(path, write_ppm(crop))
         print(path)
     return 0
 
@@ -131,8 +132,8 @@ def _cmd_train(args) -> int:
     outcome = run_arm(man, dirs, args.dataset, arm, out_root)
     run_dir = out_root / "train" / f"{args.dataset}__{arm.arm_name}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "train_report.json").write_text(outcome.train_report.to_json())
-    (run_dir / "row.json").write_text(json.dumps(outcome.row, sort_keys=True, indent=2) + "\n")
+    write_atomic(run_dir / "train_report.json", outcome.train_report.to_json())
+    write_atomic(run_dir / "row.json", json.dumps(outcome.row, sort_keys=True, indent=2) + "\n")
     print(json.dumps(outcome.row, sort_keys=True, indent=2))
     return 0
 
@@ -157,7 +158,7 @@ def _cmd_report(args) -> int:
     md, _js = render_report(load_report(args.report_json))
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
-        (args.out_dir / "report.md").write_text(md)
+        write_atomic(args.out_dir / "report.md", md)
         print(args.out_dir / "report.md")
     else:
         print(md, end="")

@@ -47,7 +47,7 @@ def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
     for n, line in enumerate(lines, start=1):
         try:
             row = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, or nested too deep
             raise ManifestError(f"{path} row {n} is not JSON: {exc}") from exc
         if not (isinstance(row, dict) and set(_ROW_KEYS) <= row.keys()
                 and type(row["end_index"]) is int

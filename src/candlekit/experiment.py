@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
 from .errors import BadRow, BadSpec, EmptyDataset, ManifestError, SourceNotFound
+from .fileio import write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
@@ -208,7 +209,8 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
                 DatasetSpec(name=name, synth=_build_dc(SynthParams, synth, name), synth_n=n)
             )
         else:
-            members = tuple(_expect(entry["members"], list, f"merge dataset {name!r} members"))
+            listed = _expect(entry["members"], list, f"merge dataset {name!r} members")
+            members = tuple(_expect(m, str, f"merge dataset {name!r} member") for m in listed)
             if not members:
                 raise ManifestError(f"merge dataset {name!r} has no members")
             datasets.append(DatasetSpec(name=name, members=members))
@@ -282,7 +284,7 @@ def read_input(path: str | Path, what: str, read=Path.read_text):
 def _read_json(path: str | Path, what: str):
     try:
         return json.loads(read_input(path, what, Path.read_bytes))
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, or nested too deep
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -558,8 +560,8 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
         },
     )
     md, js = render_report(report)
-    (out_root / "report.json").write_text(js)
-    (out_root / "report.md").write_text(md)
+    write_atomic(out_root / "report.json", js)
+    write_atomic(out_root / "report.md", md)
     return report
 
 

@@ -131,6 +131,15 @@ def format_price(p: float) -> str:
     return text if text else "0"
 
 
+def _csv_rows(text: str):
+    """The rows of a CSV document; BadRow where the csv module cannot split it."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:  # e.g. a bare carriage return, or an over-long field
+        raise BadRow(f"line {reader.line_num}: {exc}") from exc
+
+
 def parse_csv(
     text: str,
     column_map: ColumnMap = ColumnMap(),
@@ -143,9 +152,10 @@ def parse_csv(
     Rows that fail to parse or violate candle invariants are rejected
     (``strict``) or skipped with a warning (``skip_with_warning``, the
     default; real downloads contain holiday gaps and stray rows).
-    Out-of-order dates always raise :class:`NonMonotonicDates`.
+    Out-of-order dates always raise :class:`NonMonotonicDates`, and text
+    the csv module cannot split into rows always raises :class:`BadRow`.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import CorruptCheckpoint, MalformedHeader, SourceNotFound
+from ..fileio import write_atomic
 
 MAGIC = b"CKPT"
 VERSION = 1
@@ -68,7 +69,7 @@ def bytes_to_arrays(data: bytes) -> list[np.ndarray]:
 
 
 def save_arrays(path: str | Path, arrays: list[np.ndarray]) -> None:
-    Path(path).write_bytes(arrays_to_bytes(arrays))
+    write_atomic(path, arrays_to_bytes(arrays))
 
 
 def load_arrays(path: str | Path) -> list[np.ndarray]:

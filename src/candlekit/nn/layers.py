@@ -6,16 +6,16 @@ flip) with zero padding; max-pool ties break to the first index in
 row-major window order so the backward routing is deterministic. Training
 runs in float32; gradient checking builds float64 parameters.
 
-Convolution and max-pool have one implementation for 1-D and 2-D: the
-spec classes differ only in their ``rank`` (the number of spatial axes).
-Conv pads its input once into a flat zero buffer (N, C, padded size + a
-row - 1), where each tap's patch row is one contiguous slice, and works on
-the stride-1 grid of whole padded rows: forward is one batched matmul over
-the channel-first patches, keeping every stride-th output of each row but
-its last k-1; backward rebuilds the patches (no cache) for the weight
-gradient and adds the patch gradient back with one flat add per tap.
-Max-pool forward keeps only the max of the k^rank strided tap views;
-backward routes each output to its first tap, row-major, equal to it.
+Convolution and max-pool have one implementation for 1-D and 2-D: the spec
+classes differ only in their ``rank`` (the number of spatial axes). Conv pads
+its input once into a flat zero buffer (N, C, padded size + a row - 1), where
+each tap's patch row is one contiguous slice, and works on the stride-1 grid
+of whole padded rows: forward is one batched matmul over the channel-first
+patches, keeping every stride-th output of each row but its last k-1. Backward
+rebuilds them for the weight gradient; the input gradient is the kernel,
+flipped on every axis and in/out swapped, times the output gradient's patches
+at the last tap's offset. Max-pool forward keeps the max of the tap views;
+backward adds each output to its first equal tap, row-major.
 
 Output dims follow floor((in + 2*pad - kernel) / stride) + 1; a stack that
 would reach a nonpositive dim fails at build time with InvalidShape rather
@@ -276,29 +276,29 @@ def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray, need_
     if not (need_dx or params.has_params):
         return None
     if isinstance(spec, _CONV):
-        (x_shape, buf, padded, grid), (n, o) = cache, grad_out.shape[:2]
-        dgrid = np.zeros((n, o, math.prod(grid)), dtype=grad_out.dtype)  # 0 off the outputs
+        (x_shape, buf, padded, grid), (n, o), k = cache, grad_out.shape[:2], spec.kernel
+        last = np.ravel_multi_index((k - 1,) * spec.rank, padded)
+        dbuf = np.zeros((n, o, math.prod(padded) + k * math.prod(padded[1:]) - 1), grad_out.dtype)
+        dgrid = dbuf[..., last : last + math.prod(grid)]  # tap t's patch row: dgrid at -offset(t)
         dgrid.reshape(n, o, *grid)[_taps(1, spec.stride, grad_out.shape[2:])[0]] = grad_out
         cols = _patches(buf, spec.kernel, padded, grid)
         params.grad_w += (dgrid @ cols.transpose(0, 2, 1)).sum(0).reshape(params.weight.shape)
         params.grad_b += grad_out.reshape(n, o, -1).sum(axis=(0, 2))
-        del cols  # released before dcols is allocated, to keep peak memory down
+        del cols  # released before dx's patches are built, to keep peak memory down
         if not need_dx:
             return None
-        dcols = (params.weight.reshape(o, -1).T @ dgrid).reshape(n, spec.in_ch, -1, dgrid.shape[2])
-        dbuf = np.zeros_like(buf)
-        taps = np.indices((spec.kernel,) * spec.rank).reshape(spec.rank, -1)  # row-major
-        for t, off in enumerate(np.ravel_multi_index(taps, padded)):
-            dbuf[..., off : off + dgrid.shape[2]] += dcols[:, :, t]
-        return _interior(dbuf, padded, spec.pad, x_shape[2:])
+        flip = params.weight.reshape(o, spec.in_ch, -1)[..., ::-1].transpose(1, 0, 2)
+        dx = flip.reshape(spec.in_ch, -1) @ _patches(dbuf, k, padded, padded)
+        return _interior(dx, padded, spec.pad, x_shape[2:])
     if isinstance(spec, _POOL):
         x, y = cache
         dx = np.zeros(x.shape, dtype=grad_out.dtype)
         free = np.ones(y.shape, dtype=bool)  # outputs not yet routed to a tap
         for tap in _taps(spec.k, spec.stride, y.shape[2:]):  # first max in row-major order
-            hit = free & (x[tap] == y)
-            dx[tap] += np.where(hit, grad_out, 0)
+            hit = x[tap] == y
+            hit &= free
             free ^= hit
+            dx[tap] += hit * grad_out  # grad_out is finite, so a miss adds 0
         return dx
     if isinstance(spec, Dense):
         x = cache

@@ -3,15 +3,18 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from candlekit.cli import main as cli_main
 from candlekit.datasets import (
     assemble_subchart_dataset,
     assemble_training_set,
     image_to_array,
+    load_manifest_rows,
     planted_signal_set,
 )
-from candlekit.errors import EmptyDataset, ManifestError, SourceNotFound
+from candlekit.errors import CandlekitError, EmptyDataset, ManifestError, SourceNotFound
 from candlekit.experiment import (
     _model_config,
     build_dataset,
@@ -47,6 +50,34 @@ BASE_DOC = {
     },
     "train": {"epochs": 1, "batch_size": 32},
 }
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+MANIFEST_KEYS = [
+    "master_seed", "output_dir", "datasets", "arms", "model", "render", "train", "pattern",
+    "labeler", "name", "synth", "csv_path", "members", "n", "arm_name", "include_pattern",
+]
+
+
+@st.composite
+def json_manifests(draw):
+    """BASE_DOC with one to three values, at any depth, set to any JSON value."""
+    doc = {"root": json.loads(json.dumps(BASE_DOC))}
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = doc, "root"
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            node = parent[key]
+            keys = range(len(node)) if isinstance(node, list) else sorted(node) + MANIFEST_KEYS
+            parent, key = node, draw(st.sampled_from(keys))
+            if isinstance(parent, dict) and key not in parent:
+                break  # a key the document lacks: add it
+        parent[key] = draw(JSON_VALUES)
+    return doc["root"]
 
 
 def manifest(tmp_path, **overrides):
@@ -119,6 +150,7 @@ class TestManifest:
         {"datasets": [{"name": "a", "csv_path": 5}]},
         {"output_dir": 5},
         {"model": {"window": 3, "subchart_k": 3, "block_widths": [4, 8]}},
+        {"datasets": [{"name": "a", "synth": {"n": 50}}, {"name": "m", "members": [["a"]]}]},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
@@ -126,11 +158,25 @@ class TestManifest:
         "latent_dim-str", "window-zero", "subchart_k-zero", "subchart_stride-zero",
         "window-below-subchart_k", "name-dotdot", "name-dot", "name-abs", "name-sep",
         "name-hidden", "name-int", "arm-name-sep", "include_pattern-str", "csv_path-int",
-        "output_dir-int", "window-too-short-for-cnn1d",
+        "output_dir-int", "window-too-short-for-cnn1d", "member-list",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
             manifest(tmp_path, **override)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=json_manifests())
+    def test_json_documents_give_manifest_or_candlekit_error(self, doc):
+        try:
+            manifest_from_dict(doc)
+        except CandlekitError:
+            pass
+
+    def test_too_deeply_nested_file_is_manifest_error(self, tmp_path):
+        path = tmp_path / "man.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ManifestError):
+            load_manifest(path)
 
     def test_load_from_file_resolves_relative_csv(self, tmp_path):
         (tmp_path / "prices.csv").write_text(
@@ -256,6 +302,26 @@ class TestAssembly:
             assemble_training_set([ddir], (32, 32), (16, 16), True)
         with pytest.raises(error):
             assemble_subchart_dataset([ddir], (16, 16), man.render_spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.sampled_from([
+            b"",
+            b'{"end_index": 3, "strength": "weak", "history_image_path": "h.ppm", '
+            b'"pattern_image_path": "p.ppm"}\n',
+            b'{"end_index": ',
+        ]),
+        tail=st.binary(max_size=64) | st.integers(0, 3000).map(lambda n: b"[" * n),
+    )
+    def test_arbitrary_manifest_bytes_give_rows_or_candlekit_error(self, tmp_path_factory,
+                                                                   head, tail):
+        ddir = tmp_path_factory.mktemp("rows")
+        (ddir / "manifest.jsonl").write_bytes(head + tail)
+        try:
+            rows = load_manifest_rows(ddir)
+        except CandlekitError:
+            return
+        assert rows and all(isinstance(r, dict) and type(r["end_index"]) is int for r in rows)
 
     def test_planted_signal_balanced_and_native_size(self):
         ts = planted_signal_set(n_samples=40, seed=3)

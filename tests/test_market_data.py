@@ -17,6 +17,7 @@ from candlekit import (
 from candlekit.errors import (
     BadParams,
     BadRow,
+    CandlekitError,
     MissingColumn,
     NonMonotonicDates,
     OutOfRange,
@@ -97,6 +98,27 @@ class TestParseCsv:
         cm = ColumnMap(date="dt", open="o", high="max", low="min", close="c")
         s = parse_csv(text, cm)
         assert s[0].high == 3.0 and s[0].low == 0.5
+
+    @pytest.mark.parametrize("policy", ["strict", "skip_with_warning"])
+    @pytest.mark.parametrize("row", ["2020-01-01,1,2,0.5\r1.5", "2020-01-01," + "9" * 200_000],
+                             ids=["bare-cr", "over-long-field"])
+    def test_unsplittable_text_is_bad_row(self, row, policy):
+        with pytest.raises(BadRow):
+            parse_csv(f"Date,Open,High,Low,Close\n{row}\n", on_bad_row=policy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        head=st.sampled_from(["", "Date,Open,High,Low,Close\n", "Date,Open,High,Low,Close\n1,"]),
+        text=st.text(alphabet=st.sampled_from("0123456789.,-e\"\r\n \x00Dx:T"), max_size=80)
+        | st.text(max_size=80),
+        policy=st.sampled_from(["strict", "skip_with_warning"]),
+    )
+    def test_arbitrary_text_gives_series_or_candlekit_error(self, head, text, policy):
+        try:
+            s = parse_csv(head + text, on_bad_row=policy)
+        except CandlekitError:
+            return
+        assert isinstance(s, Series)
 
 
 class TestWriteCsv:

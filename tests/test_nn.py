@@ -1,5 +1,8 @@
+import errno
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ SMOOTH_LAYERS = [
     nn.Conv2D(2, 3, 3, stride=2, pad=1),
     nn.Conv1D(2, 3, 3, pad=1),
     nn.Conv1D(2, 3, 3, stride=2),
+    nn.Conv2D(3, 2, 2, pad=1),
+    nn.Conv1D(3, 2, 5, stride=2, pad=1),
     nn.Dense(5, 4),
     nn.Sigmoid(),
     nn.Flatten(),
@@ -190,6 +195,12 @@ def _rows(a, rank):
     return a if rank == 2 else a[:, :, None, :]
 
 
+def _conv_id(c):
+    name = f"{type(c).__name__}-s{c.stride}-p{c.pad}"
+    first = (c.in_ch, c.out_ch, c.kernel) == (2, 3, 3)  # the original cases keep their ids
+    return name if first else f"{name}-{c.in_ch}to{c.out_ch}-k{c.kernel}"
+
+
 class TestOracles:
     """Conv and max-pool passes, and upsample backward, against longhand loop nests."""
 
@@ -197,12 +208,17 @@ class TestOracles:
     @pytest.mark.parametrize("spec", [
         cls(2, 3, 3, stride=s, pad=p)
         for cls in (nn.Conv1D, nn.Conv2D) for s in (1, 2) for p in (0, 1)
-    ], ids=lambda c: f"{type(c).__name__}-s{c.stride}-p{c.pad}")
+    ] + [
+        # more in than out channels, an even kernel, a kernel wider than the padding
+        cls(i, o, k, stride=s, pad=1)
+        for cls in (nn.Conv1D, nn.Conv2D) for s in (1, 2)
+        for i, o, k in [(3, 2, 3), (2, 3, 2), (3, 2, 5)]
+    ], ids=_conv_id)
     def test_conv(self, spec, dtype):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 2, 7, 6)[: spec.rank + 2]).astype(dtype)
+        x = rng.standard_normal((2, spec.in_ch, 7, 6)[: spec.rank + 2]).astype(dtype)
         params = nn.init_params(spec, 5, dtype)
-        params.bias[...] = rng.standard_normal(3)
+        params.bias[...] = rng.standard_normal(spec.out_ch)
         y, cache = nn.forward(spec, params, x)
         g = rng.standard_normal(y.shape).astype(dtype)
         dx = nn.backward(spec, params, cache, g)
@@ -339,6 +355,30 @@ class TestCheckpoint:
         assert len(back) == 2
         for a, b in zip(arrays, back):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stage", ["write", "rename"])
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch, stage):
+        path = tmp_path / "model.ckpt"
+        nn.save_arrays(path, [np.ones(3, dtype=np.float32)])
+        before = path.read_bytes()
+        write_bytes = Path.write_bytes
+
+        def write_half(self, data):  # a disk that fills up part-way through the write
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+
+        if stage == "write":
+            monkeypatch.setattr(Path, "write_bytes", write_half)
+        else:
+            monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            nn.save_arrays(path, [np.zeros((4, 5), dtype=np.float32)])
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]  # no temp file left
 
     def test_scalar_and_strided_arrays_keep_their_shape(self):
         arrays = [np.array(2.5, dtype=np.float32), np.arange(12, dtype=np.float32).reshape(3, 4).T]
