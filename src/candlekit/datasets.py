@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .decompose import subcharts
-from .errors import EmptyDataset, ManifestError, SourceNotFound
+from .decompose import subchart_spans
+from .errors import EmptyDataset, ManifestError, ShapeMismatch, SourceNotFound
 from .market_data import Candle, CandleWindow
 from .models import SubchartDataset, TrainingSet
-from .raster import RasterImage, RenderSpec, read_ppm, render_window, resize_nearest
+from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window, resize_nearest
 from .rng import Rng, derive_seed
 
 
@@ -120,16 +120,26 @@ def assemble_subchart_dataset(
     k: int = 3,
     stride: int = 1,
 ) -> SubchartDataset:
-    """History charts cut into k-candle sub-charts, resized and stacked."""
+    """History charts cut into k-candle sub-charts, resized as by ``resize_nearest``.
+
+    One gather per chart writes its S crops into the (N, S, 3, h, w) array;
+    a chart whose S differs from the first chart's raises ShapeMismatch.
+    """
     pairs, labels, order, member = _read_rows(dataset_dirs)
-    stacks = [
-        np.stack([
-            image_to_array(resize_nearest(c, sub_hw[0], sub_hw[1]))
-            for c in subcharts(_read_image(d, row["history_image_path"]), render_spec, k=k, stride=stride)
-        ])
-        for d, row in pairs
-    ]
-    return SubchartDataset(subcharts=np.stack(stacks), labels=labels, order=order, member=member)
+    h, w = sub_hw
+    out = None
+    for i, (d, row) in enumerate(pairs):
+        img = _read_image(d, row["history_image_path"])
+        x0, x1 = subchart_spans(img, render_spec, k=k, stride=stride).T
+        cols = x0[:, None] + nearest_index(x1 - x0 + 1, w)
+        crops = img.pixels[nearest_index(img.height_px, h)][:, cols]  # (h, S, w, 3)
+        if out is None:
+            out = np.empty((len(pairs), len(x0), 3, h, w), dtype=np.float32)
+        elif len(x0) != out.shape[1]:
+            raise ShapeMismatch(f"{d / row['history_image_path']} gives {len(x0)} "
+                                f"sub-charts, the first chart {out.shape[1]}")
+        np.divide(crops.transpose(1, 3, 0, 2), np.float32(255), out=out[i])
+    return SubchartDataset(subcharts=out, labels=labels, order=order, member=member)
 
 
 def _candle(t: int, level: float, crange: float, body_frac: float, bullish: bool) -> Candle:

@@ -59,18 +59,15 @@ class ParsedCandle:
 
 def _pack(rgb: np.ndarray) -> np.ndarray:
     """RGB8 (..., 3) -> packed uint32 for fast palette comparisons."""
-    r = rgb[..., 0].astype(np.uint32)
-    g = rgb[..., 1].astype(np.uint32)
-    b = rgb[..., 2].astype(np.uint32)
-    return (r << 16) | (g << 8) | b
+    return (rgb[..., 0].astype(np.uint32) << 16) | (rgb[..., 1].astype(np.uint32) << 8) | rgb[..., 2]
 
 
 def _pack_color(c: tuple[int, int, int]) -> int:
     return (c[0] << 16) | (c[1] << 8) | c[2]
 
 
-def segment_columns(image: RasterImage, spec: RenderSpec = RenderSpec()) -> list[CandleExtent]:
-    """Maximal runs of columns holding any non-background, non-tint pixel."""
+def _runs(image: RasterImage, spec: RenderSpec) -> np.ndarray:
+    """(n, 2) inclusive first and last columns of each :func:`segment_columns` run."""
     packed = _pack(image.pixels)
     empty = (packed == _pack_color(spec.background)) | (
         packed == _pack_color(spec.annotation_tint)
@@ -78,18 +75,14 @@ def segment_columns(image: RasterImage, spec: RenderSpec = RenderSpec()) -> list
     occupied = ~empty.all(axis=0)
     if not occupied.any():
         raise NoCandlesFound("image has no occupied columns")
+    # occupancy flips at each run's first column and just past its last
+    edges = np.diff(occupied, prepend=False, append=False).nonzero()[0]
+    return edges.reshape(-1, 2) - (0, 1)
 
-    extents: list[CandleExtent] = []
-    x = 0
-    width = occupied.shape[0]
-    while x < width:
-        if occupied[x]:
-            start = x
-            while x + 1 < width and occupied[x + 1]:
-                x += 1
-            extents.append(CandleExtent(x_start=start, x_end=x, index=len(extents)))
-        x += 1
-    return extents
+
+def segment_columns(image: RasterImage, spec: RenderSpec = RenderSpec()) -> list[CandleExtent]:
+    """Maximal runs of columns holding any non-background, non-tint pixel."""
+    return [CandleExtent(int(x0), int(x1), i) for i, (x0, x1) in enumerate(_runs(image, spec))]
 
 
 def subcharts(
@@ -103,19 +96,26 @@ def subcharts(
     Produces exactly floor((n - k) / stride) + 1 crops for an n-candle
     chart; each crop re-segments into exactly k extents.
     """
+    spans = subchart_spans(image, spec, k, stride)
+    return [RasterImage(image.pixels[:, x0 : x1 + 1].copy()) for x0, x1 in spans]
+
+
+def subchart_spans(image: RasterImage, spec: RenderSpec = RenderSpec(), k: int = 3,
+                   stride: int = 1) -> np.ndarray:
+    """(S, 2) inclusive first and last columns of each :func:`subcharts` crop.
+
+    A crop spans its k candles plus half a gap each side, clamped to the image.
+    """
     if k < 1 or stride < 1:
         raise BadParams("k and stride must be >= 1")
-    extents = segment_columns(image, spec)
-    n = len(extents)
+    runs = _runs(image, spec)
+    n = len(runs)
     if n < k:
         raise TooFewCandles(f"chart has {n} candles, need at least {k}")
     pad = spec.gap_px // 2
-    crops: list[RasterImage] = []
-    for s in range(0, n - k + 1, stride):
-        x0 = max(extents[s].x_start - pad, 0)
-        x1 = min(extents[s + k - 1].x_end + pad, image.width_px - 1)
-        crops.append(RasterImage(image.pixels[:, x0 : x1 + 1].copy()))
-    return crops
+    x0 = np.maximum(runs[: n - k + 1 : stride, 0] - pad, 0)
+    x1 = np.minimum(runs[k - 1 :: stride, 1] + pad, image.width_px - 1)
+    return np.stack([x0, x1], axis=1)
 
 
 def inverse_parse(

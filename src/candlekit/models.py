@@ -57,7 +57,8 @@ from .rng import Rng, derive_seed
 
 VARIANTS = ("mini_cnn", "two_stream", "cae", "cnn1d")
 
-_PREDICT_CHUNK = 256
+# Rows per forward-only pass: at 256 a conv's patch matrix reached 8-30 MB and ran slower per image.
+_PREDICT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -501,7 +502,7 @@ def train(model: Model, ts: TrainingSet, tc: TrainConfig) -> TrainReport:
 class SubchartPipelineResult:
     cae: CAEModel
     cnn1d: CNN1DModel
-    cae_epoch_mse: list[float]  # full-pass MSE at [0] and [-1], mean minibatch MSE between
+    cae_epoch_mse: list[float]  # full-pass MSE at [0] and [-1] ([-1] from training_set), minibatch between
     training_set: TrainingSet  # every sample's encoded (latent_dim, S) sequence
     report: TrainReport
 
@@ -510,10 +511,11 @@ class SubchartPipelineResult:
         return tuple(self.training_set.inputs.shape)
 
 
-def _recon_mse(cae: CAEModel, images: np.ndarray) -> float:
+def _recon_mse(cae: CAEModel, latent: np.ndarray, images: np.ndarray) -> float:
+    """MSE of ``cae.head``'s decoding of ``latent`` against ``images``, row for row."""
     total = 0.0
-    for chunk in _chunks((images,)):
-        total += float(np.sum((cae.forward(chunk)[0] - chunk[0]) ** 2))
+    for z, x in _chunks((latent, images)):
+        total += float(np.sum((cae.head.predict(z) - x) ** 2))
     return total / images.size
 
 
@@ -545,12 +547,13 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     tr, _va, _te = split_indices(ds.order, ds.member, tc)
     cae, cnn1d = subchart_models(ds, cfg)
     train_imgs = ds.subcharts[tr].reshape((-1,) + ds.subcharts.shape[2:])
-    epoch_mse = [_recon_mse(cae, train_imgs)]
+    epoch_mse = [_recon_mse(cae, cae.encode(train_imgs), train_imgs)]
     epoch_mse += _fit(cae, (train_imgs,), train_imgs, range(len(train_imgs)), loss_mse, tc, "cae-shuffle")
-    if tc.epochs:
-        epoch_mse[-1] = _recon_mse(cae, train_imgs)
 
     clf_ts = encode_subcharts(cae, ds)
+    if tc.epochs:
+        latent = clf_ts.inputs[tr].transpose(0, 2, 1).reshape(-1, cae.cfg.latent_dim)
+        epoch_mse[-1] = _recon_mse(cae, latent, train_imgs)
     report = train(cnn1d, clf_ts, tc)
     return SubchartPipelineResult(
         cae=cae, cnn1d=cnn1d, cae_epoch_mse=epoch_mse, training_set=clf_ts, report=report

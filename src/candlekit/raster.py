@@ -45,6 +45,8 @@ from .patterns import PatternMatch
 
 RGB = tuple[int, int, int]
 
+_HEADER_INT = re.compile(rb"\d+")
+
 
 @dataclass(frozen=True)
 class RenderSpec:
@@ -199,11 +201,11 @@ def read_ppm(data: bytes) -> RasterImage:
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
-        m = re.match(rb"\d+", data[pos:])
+        m = _HEADER_INT.match(data, pos)
         if not m:
             raise MalformedHeader("expected integer in PPM header")
         fields.append(int(m.group(0)))
-        pos += m.end()
+        pos = m.end()
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise MalformedHeader("missing whitespace after maxval")
     pos += 1
@@ -211,17 +213,21 @@ def read_ppm(data: bytes) -> RasterImage:
     if maxval != 255 or width < 1 or height < 1:
         raise MalformedHeader(f"unsupported PPM dimensions/maxval {fields}")
     expected = width * height * 3
-    payload = data[pos : pos + expected]
-    if len(payload) < expected:
-        raise TruncatedPixelData(f"expected {expected} pixel bytes, got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
-    return RasterImage(pixels)
+    if len(data) - pos < expected:
+        raise TruncatedPixelData(f"expected {expected} pixel bytes, got {len(data) - pos}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
+    return RasterImage(pixels.reshape(height, width, 3).copy())
 
 
 def resize_nearest(image: RasterImage, out_h: int, out_w: int) -> RasterImage:
     """Nearest-neighbor resize; source index = floor(i * src / out)."""
-    if out_h < 1 or out_w < 1:
-        raise BadSpec("resize target must be positive")
-    rows = (np.arange(out_h) * image.height_px) // out_h
-    cols = (np.arange(out_w) * image.width_px) // out_w
+    rows = nearest_index(image.height_px, out_h)
+    cols = nearest_index(image.width_px, out_w)
     return RasterImage(image.pixels[rows][:, cols].copy())
+
+
+def nearest_index(n_src, n_out: int) -> np.ndarray:
+    """Source indices floor(i * n_src / n_out), i < n_out; one row per entry of an array n_src."""
+    if n_out < 1:
+        raise BadSpec("resize target must be positive")
+    return np.multiply.outer(n_src, np.arange(n_out)) // n_out

@@ -242,3 +242,23 @@ def oracle_upsample_grad(grad_out, f):
                         for j in range(f):
                             dx[n][c][y][x] += float(grad_out[n][c][y * f + i][x * f + j])
     return dx
+
+
+def oracle_segment_columns(pixels, empty_colors):
+    """(x_start, x_end) of each maximal run of columns holding a non-empty pixel.
+
+    ``pixels`` is rows of (r, g, b) triples; a pixel is empty when its
+    triple is in ``empty_colors``. Ends are inclusive.
+    """
+    width = len(pixels[0])
+    occupied = [any(tuple(row[x]) not in empty_colors for row in pixels) for x in range(width)]
+    extents = []
+    x = 0
+    while x < width:
+        if occupied[x]:
+            start = x
+            while x + 1 < width and occupied[x + 1]:
+                x += 1
+            extents.append((start, x))
+        x += 1
+    return extents

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from candlekit import (
     CandleWindow,
@@ -20,8 +22,20 @@ from candlekit.errors import (
     UnknownColor,
 )
 from candlekit.raster import RasterImage
+from oracles import oracle_segment_columns
 
 SPEC = RenderSpec()
+PALETTE = (SPEC.background, SPEC.annotation_tint, SPEC.up_color, SPEC.down_color, SPEC.wick_color)
+
+
+@st.composite
+def palette_columns(draw):
+    """Columns (lists of PALETTE indices, one per row): all background, all tint, or mixed."""
+    h = draw(st.integers(1, 4))
+    column = st.one_of(
+        st.just([0] * h), st.just([1] * h), st.lists(st.integers(0, 4), min_size=h, max_size=h)
+    )
+    return draw(st.lists(column, min_size=1, max_size=24))
 
 
 def axis_of(w: CandleWindow) -> tuple[float, float]:
@@ -49,6 +63,24 @@ class TestSegmentColumns:
         blank = RasterImage(np.tile(tint, (16, 16, 1)))
         with pytest.raises(NoCandlesFound):
             segment_columns(blank)
+
+    @settings(max_examples=300, deadline=None)
+    @given(palette_columns())
+    @example([[2]])  # width 1
+    @example([[0]])
+    @example([[2], [0], [1], [3]])  # runs touch column 0 and the last column
+    @example([[2, 4], [3, 3], [4, 0]])  # fully occupied
+    def test_extents_match_longhand_oracle(self, columns):
+        pixels = np.array(PALETTE, dtype=np.uint8)[np.array(columns).T]
+        want = oracle_segment_columns(pixels.tolist(), {SPEC.background, SPEC.annotation_tint})
+        if not want:
+            with pytest.raises(NoCandlesFound):
+                segment_columns(RasterImage(pixels))
+            return
+        got = segment_columns(RasterImage(pixels))
+        assert [(e.x_start, e.x_end, e.index) for e in got] == [
+            (x0, x1, i) for i, (x0, x1) in enumerate(want)
+        ]
 
 
 class TestSubcharts:

@@ -14,7 +14,14 @@ from candlekit.datasets import (
     load_manifest_rows,
     planted_signal_set,
 )
-from candlekit.errors import CandlekitError, EmptyDataset, ManifestError, SourceNotFound
+from candlekit.decompose import subcharts
+from candlekit.errors import (
+    CandlekitError,
+    EmptyDataset,
+    ManifestError,
+    ShapeMismatch,
+    SourceNotFound,
+)
 from candlekit.experiment import (
     _model_config,
     build_dataset,
@@ -25,7 +32,8 @@ from candlekit.experiment import (
 )
 from candlekit.models import build_model
 from candlekit.nn import arrays_to_bytes
-from candlekit.raster import read_ppm
+from candlekit.market_data import synth_series, window
+from candlekit.raster import RasterImage, RenderSpec, read_ppm, render_window, resize_nearest, write_ppm
 
 BASE_DOC = {
     "master_seed": 42,
@@ -253,6 +261,21 @@ class TestBuildDataset:
         ) * spec.gap_px
 
 
+def chart_dir(tmp_path, spec, n_candles, n_charts=3):
+    """A dataset directory of ``n_charts`` history charts of ``n_candles`` candles each."""
+    series = synth_series(5, n_candles + n_charts)
+    (tmp_path / "history").mkdir()
+    rows = []
+    for i in range(n_charts):
+        end = n_candles - 1 + i
+        path = f"history/{i}.ppm"
+        (tmp_path / path).write_bytes(write_ppm(render_window(window(series, end, n_candles), spec)))
+        rows.append(json.dumps({"end_index": end, "strength": "strong" if i % 2 else "weak",
+                                "history_image_path": path, "pattern_image_path": path}))
+    (tmp_path / "manifest.jsonl").write_text("\n".join(rows) + "\n")
+    return tmp_path
+
+
 class TestAssembly:
     def test_merged_training_set_counts(self, tmp_path):
         man = manifest(tmp_path)
@@ -271,6 +294,36 @@ class TestAssembly:
         ds = assemble_subchart_dataset([ddir], (16, 16), man.render_spec)
         assert ds.subcharts.shape[1] == 28
         assert ds.subcharts.shape[2:] == (3, 16, 16)
+
+    @pytest.mark.parametrize("spec", [
+        RenderSpec(candle_px=3, gap_px=2, margin_px=3, height_px=24),
+        RenderSpec(candle_px=5, gap_px=4, margin_px=1, height_px=40),  # margin < gap // 2: end crops clamp
+    ], ids=["margin-wide", "margin-narrow"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("sub_hw", [(64, 64), (8, 4)], ids=["upscale", "downscale"])
+    def test_subchart_array_equals_per_crop_reference(self, tmp_path, spec, k, stride, sub_hw):
+        ddir = chart_dir(tmp_path, spec, n_candles=6)
+        ds = assemble_subchart_dataset([ddir], sub_hw, spec, k=k, stride=stride)
+        ref = np.stack([
+            np.stack([
+                image_to_array(resize_nearest(c, *sub_hw))
+                for c in subcharts(read_ppm((ddir / row["history_image_path"]).read_bytes()),
+                                   spec, k=k, stride=stride)
+            ])
+            for row in load_manifest_rows(ddir)
+        ])
+        assert ds.subcharts.dtype == ref.dtype and ds.subcharts.flags.c_contiguous
+        assert np.array_equal(ds.subcharts, ref)
+
+    def test_charts_with_different_subchart_counts_raise_shape_mismatch(self, tmp_path):
+        spec = RenderSpec()
+        ddir = chart_dir(tmp_path, spec, n_candles=30)
+        cut = ddir / "history/2.ppm"
+        pixels = read_ppm(cut.read_bytes()).pixels
+        cut.write_bytes(write_ppm(RasterImage(pixels[:, : 2 * pixels.shape[1] // 3].copy())))
+        with pytest.raises(ShapeMismatch, match="history/2.ppm"):
+            assemble_subchart_dataset([ddir], (16, 16), spec)
 
     @pytest.mark.parametrize("damage,error", [
         ("not-json", ManifestError),

@@ -23,7 +23,7 @@ from candlekit.errors import (
     InvalidShape,
     LengthMismatch,
 )
-from candlekit.models import CAEModel
+from candlekit.models import _PREDICT_CHUNK, CAEModel
 from candlekit.rng import Rng
 
 from oracles import oracle_metrics
@@ -323,7 +323,9 @@ class TestTrainSubchartPipeline:
 
     def test_cae_record_ends_are_full_reconstruction_passes(self):
         # [0] and [-1] are the reconstruction MSE over every training crop
-        # before and after phase 1; epochs=0 gives one entry each
+        # before and after phase 1, bit for bit what a full forward pass in
+        # the same chunks gives (126 crops: not a whole number of chunks);
+        # epochs=0 gives one entry each
         rng = np.random.default_rng(9)
         n, s = 30, 6
         ds = SubchartDataset(
@@ -336,13 +338,17 @@ class TestTrainSubchartPipeline:
         tc = TrainConfig(epochs=2, batch_size=16, seed=3)
         tr, _va, _te = split_indices(ds.order, ds.member, tc)
         crops = ds.subcharts[tr].reshape((-1, 3, 8, 8))
+        assert len(crops) % _PREDICT_CHUNK
 
         def recon_mse(cae):
-            recon, _ = cae.forward((crops,))
-            return float(np.mean(np.square(recon - crops, dtype=np.float64)))
+            total = 0.0
+            for i in range(0, len(crops), _PREDICT_CHUNK):
+                chunk = crops[i : i + _PREDICT_CHUNK]
+                total += float(np.sum((cae.forward((chunk,))[0] - chunk) ** 2))
+            return total / crops.size
 
         result = train_subchart_pipeline(ds, tc, cfg)
-        assert result.cae_epoch_mse[0] == pytest.approx(recon_mse(CAEModel(cfg)), rel=1e-6)
-        assert result.cae_epoch_mse[-1] == pytest.approx(recon_mse(result.cae), rel=1e-6)
+        assert result.cae_epoch_mse[0] == recon_mse(CAEModel(cfg))
+        assert result.cae_epoch_mse[-1] == recon_mse(result.cae)
         untrained = train_subchart_pipeline(ds, replace(tc, epochs=0), cfg)
         assert len(untrained.cae_epoch_mse) == 1 and len(untrained.report.entries) == 1
