@@ -1,7 +1,9 @@
 """Turning rendered charts into training arrays.
 
-Images become float32 C x H x W arrays in [0, 1] after nearest-neighbor
-resizing to the model's input size. Dataset directories follow the layout
+One gather reads each PPM once and writes its crops, resized
+nearest-neighbor to the model's input size, as float32 C x H x W arrays in
+[0, 1]: the whole chart for the history and pattern streams, k-candle
+sub-charts for the Decomposer. Dataset directories follow the layout
 written by the experiment builder: ``manifest.jsonl`` plus ``history/`` and
 ``pattern/`` PPM files, with paths stored relative to the directory.
 
@@ -24,7 +26,7 @@ from .decompose import subchart_spans
 from .errors import EmptyDataset, ManifestError, ShapeMismatch, SourceNotFound
 from .market_data import Candle, CandleWindow
 from .models import SubchartDataset, TrainingSet
-from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window, resize_nearest
+from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window
 from .rng import Rng, derive_seed
 
 
@@ -79,16 +81,32 @@ def _read_rows(dataset_dirs: list[Path]):
     return pairs, labels, order, np.asarray(member, dtype=np.int64) if len(dataset_dirs) > 1 else None
 
 
-def _read_image(dataset_dir: Path, rel_path: str) -> RasterImage:
-    try:
-        data = (dataset_dir / rel_path).read_bytes()
-    except OSError as exc:
-        raise SourceNotFound(f"image {rel_path} not found under {dataset_dir}") from exc
-    return read_ppm(data)
+def _whole(img: RasterImage) -> np.ndarray:
+    return np.array([[0, img.width_px - 1]])
 
 
-def _load_resized(dataset_dir: Path, rel_path: str, hw: tuple[int, int]) -> np.ndarray:
-    return image_to_array(resize_nearest(_read_image(dataset_dir, rel_path), hw[0], hw[1]))
+def _gather(pairs, key: str, hw: tuple[int, int], spans) -> np.ndarray:
+    """Each row's ``key`` chart cut into S crops, as one C-order (N, S, 3, h, w) float32 array.
+
+    ``spans(img)`` gives a chart's (S, 2) inclusive crop columns; each crop is
+    resized as by ``resize_nearest``. A chart whose S differs from the first's raises ShapeMismatch.
+    """
+    h, w = hw
+    out = None
+    for i, (d, row) in enumerate(pairs):
+        try:
+            img = read_ppm((d / row[key]).read_bytes())
+        except OSError as exc:
+            raise SourceNotFound(f"image {row[key]} not found under {d}") from exc
+        x0, x1 = spans(img).T
+        cols = x0[:, None] + nearest_index(x1 - x0 + 1, w)
+        crops = img.pixels[nearest_index(img.height_px, h)][:, cols]  # (h, S, w, 3)
+        if out is None:
+            out = np.empty((len(pairs), len(x0), 3, h, w), dtype=np.float32)
+        elif len(x0) != out.shape[1]:
+            raise ShapeMismatch(f"{d / row[key]} gives {len(x0)} crops, the first chart {out.shape[1]}")
+        np.divide(crops.transpose(1, 3, 0, 2), np.float32(255), out=out[i])
+    return out
 
 
 def assemble_training_set(
@@ -103,14 +121,9 @@ def assemble_training_set(
     the chronological split stays within each member.
     """
     pairs, labels, order, member = _read_rows(dataset_dirs)
-    return TrainingSet(
-        inputs=np.stack([_load_resized(d, row["history_image_path"], hist_hw) for d, row in pairs]),
-        labels=labels,
-        order=order,
-        pattern=np.stack([_load_resized(d, row["pattern_image_path"], pattern_hw) for d, row in pairs])
-        if include_pattern else None,
-        member=member,
-    )
+    inputs = _gather(pairs, "history_image_path", hist_hw, _whole)[:, 0]
+    pattern = _gather(pairs, "pattern_image_path", pattern_hw, _whole)[:, 0] if include_pattern else None
+    return TrainingSet(inputs=inputs, labels=labels, order=order, pattern=pattern, member=member)
 
 
 def assemble_subchart_dataset(
@@ -120,25 +133,10 @@ def assemble_subchart_dataset(
     k: int = 3,
     stride: int = 1,
 ) -> SubchartDataset:
-    """History charts cut into k-candle sub-charts, resized as by ``resize_nearest``.
-
-    One gather per chart writes its S crops into the (N, S, 3, h, w) array;
-    a chart whose S differs from the first chart's raises ShapeMismatch.
-    """
+    """History charts cut into (N, S, 3, h, w) k-candle sub-charts; ShapeMismatch if S varies."""
     pairs, labels, order, member = _read_rows(dataset_dirs)
-    h, w = sub_hw
-    out = None
-    for i, (d, row) in enumerate(pairs):
-        img = _read_image(d, row["history_image_path"])
-        x0, x1 = subchart_spans(img, render_spec, k=k, stride=stride).T
-        cols = x0[:, None] + nearest_index(x1 - x0 + 1, w)
-        crops = img.pixels[nearest_index(img.height_px, h)][:, cols]  # (h, S, w, 3)
-        if out is None:
-            out = np.empty((len(pairs), len(x0), 3, h, w), dtype=np.float32)
-        elif len(x0) != out.shape[1]:
-            raise ShapeMismatch(f"{d / row['history_image_path']} gives {len(x0)} "
-                                f"sub-charts, the first chart {out.shape[1]}")
-        np.divide(crops.transpose(1, 3, 0, 2), np.float32(255), out=out[i])
+    out = _gather(pairs, "history_image_path", sub_hw,
+                  lambda img: subchart_spans(img, render_spec, k=k, stride=stride))
     return SubchartDataset(subcharts=out, labels=labels, order=order, member=member)
 
 

@@ -1,12 +1,13 @@
 """End-to-end experiment orchestration.
 
 A JSON manifest names datasets (CSV files, synthetic generator specs, or
-merges of other entries), a list of arms (model variant plus whether the
-pattern stream is fed), and the shared pattern/labeler/render/train/model
-configuration. One master seed expands into per-stage sub-seeds via
-``derive_seed(master, tag)``, so every output byte (dataset images,
-checkpoints, report.json) is a pure function of (manifest, master seed),
-and rebuilding without changes rewrites identical files.
+merges of other entries), a list of arms (a model variant; only
+``two_stream`` is fed the pattern stream), and the shared
+pattern/labeler/render/train/model configuration. One master seed expands
+into per-stage sub-seeds via ``derive_seed(master, tag)``, so every output
+byte (dataset images, checkpoints, report.json) is a pure function of
+(manifest, master seed), and rebuilding without changes rewrites identical
+files.
 
 In the pattern arm the pattern stream always receives the ground-truth
 rendered crop, during training and evaluation alike, never the output of
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
-from .errors import BadRow, BadSpec, EmptyDataset, ManifestError, SourceNotFound
+from .errors import BadRow, BadSpec, CandlekitError, EmptyDataset, ManifestError, SourceNotFound
 from .fileio import write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
@@ -77,7 +78,11 @@ class DatasetSpec:
 class ArmSpec:
     arm_name: str
     model: str
-    include_pattern: bool
+
+    @property
+    def include_pattern(self) -> bool:
+        """Whether the arm's model reads the pattern stream: only two_stream does."""
+        return self.model == "two_stream"
 
 
 @dataclass(frozen=True)
@@ -177,10 +182,11 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
 
     Missing, duplicate or path-unsafe dataset and arm names, wrong types
     for the document, its lists, entries, sections, seed, synth ``n``,
-    ``csv_path``, ``include_pattern`` and ``output_dir``,
-    a render spec that fails ``RenderSpec.validate`` and model settings
-    that fail ``ModelSettings.validate`` raise ManifestError here rather
-    than mid-run.
+    ``csv_path``, ``include_pattern`` and ``output_dir``, an
+    ``include_pattern`` that disagrees with the arm's model, a ``train``
+    ``seed`` (each arm's is derived from ``master_seed``), a render spec
+    that fails ``RenderSpec.validate`` and model settings that fail
+    ``ModelSettings.validate`` raise ManifestError here rather than mid-run.
     """
     if "master_seed" not in _expect(doc, dict, "manifest"):
         raise ManifestError("manifest must carry a master_seed")
@@ -226,16 +232,16 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     arm_names: set[str] = set()
     for entry in _expect(doc.get("arms", []), list, "arms"):
         _expect(entry, dict, "arm entry")
-        arm = ArmSpec(
-            arm_name=entry.get("arm_name", ""),
-            model=entry.get("model", "mini_cnn"),
-            include_pattern=_expect(entry.get("include_pattern", False), bool, "arm include_pattern"),
-        )
+        arm = ArmSpec(arm_name=entry.get("arm_name", ""), model=entry.get("model", "mini_cnn"))
         _check_name(arm.arm_name, "arm")
         if arm.arm_name in arm_names:
             raise ManifestError(f"arms need unique names, got {arm.arm_name!r}")
         if arm.model not in ARM_MODELS:
             raise ManifestError(f"arm model must be one of {ARM_MODELS}, got {arm.model!r}")
+        given = _expect(entry.get("include_pattern", arm.include_pattern), bool, "arm include_pattern")
+        if given != arm.include_pattern:
+            raise ManifestError(f"arm {arm.arm_name!r} include_pattern must be {arm.include_pattern} "
+                                f"for model {arm.model!r}: only two_stream reads the pattern stream")
         arm_names.add(arm.arm_name)
         arms.append(arm)
     if not arms:
@@ -253,6 +259,9 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         "hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths",
     )
     model_settings.validate()
+    train = _expect(doc.get("train", {}), dict, "train section")
+    if "seed" in train:
+        raise ManifestError("train seed cannot be set: each arm's is derived from master_seed")
 
     return ExperimentManifest(
         master_seed=_expect(doc["master_seed"], int, "master_seed"),
@@ -262,7 +271,7 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         pattern_params=_build_dc(PatternRuleParams, doc.get("pattern", {}), "pattern"),
         labeler_params=_build_dc(LabelerParams, doc.get("labeler", {}), "labeler"),
         render_spec=render_spec,
-        train_config=_build_dc(TrainConfig, doc.get("train", {}), "train"),
+        train_config=_build_dc(TrainConfig, train, "train"),
         model_settings=model_settings,
         base_dir=Path(base_dir),
     )
@@ -523,6 +532,28 @@ def load_report(path: str | Path) -> ExperimentReport:
     return report
 
 
+def _remove_stale(out_root: Path, rows: list[dict]) -> None:
+    """Delete the datasets and checkpoints the last ``report.json`` lists that ``rows`` no longer cover.
+
+    So a rerun with a smaller manifest leaves no file a fresh run lacks; an entry
+    that report does not list, or a dataset whose rebuild failed, stays.
+    """
+    try:
+        old = load_report(out_root / "report.json").rows
+        for r in old:
+            _check_name(r["dataset"], "dataset")
+            _check_name(r["arm"], "arm")
+    except CandlekitError:  # no earlier report, or one whose names are not safe paths
+        return
+    names, pairs = {r["dataset"] for r in rows}, {(r["dataset"], r["arm"]) for r in rows}
+    for r in old:
+        if r["dataset"] not in names:
+            for d in (r["dataset"], f".{r['dataset']}.tmp"):
+                shutil.rmtree(out_root / "datasets" / d, ignore_errors=True)
+        if "checkpoint" in r and (r["dataset"], r["arm"]) not in pairs:
+            (out_root / "checkpoints" / f"{r['dataset']}__{r['arm']}.ckpt").unlink(missing_ok=True)
+
+
 def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -> ExperimentReport:
     """Every dataset x arm, with per-arm error isolation; writes reports."""
     out_root = Path(out_dir) if out_dir is not None else Path(man.output_dir)
@@ -548,6 +579,7 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
                 rows.append(run_arm(man, dirs, ds.name, arm, out_root).row)
             except Exception as exc:  # per-arm isolation
                 rows.append(_arm_row(ds.name, arm, error=f"{type(exc).__name__}: {exc}"))
+    _remove_stale(out_root, rows)
 
     report = ExperimentReport(
         rows=rows,

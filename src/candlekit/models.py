@@ -511,12 +511,12 @@ class SubchartPipelineResult:
         return tuple(self.training_set.inputs.shape)
 
 
-def _recon_mse(cae: CAEModel, latent: np.ndarray, images: np.ndarray) -> float:
-    """MSE of ``cae.head``'s decoding of ``latent`` against ``images``, row for row."""
+def _recon_mse(cae: CAEModel, latent: np.ndarray, crops: np.ndarray, rows: np.ndarray) -> float:
+    """MSE of ``cae.head``'s decoding of ``latent`` against ``crops[rows]``, row for row."""
     total = 0.0
-    for z, x in _chunks((latent, images)):
-        total += float(np.sum((cae.head.predict(z) - x) ** 2))
-    return total / images.size
+    for z, r in _chunks((latent, rows)):
+        total += float(np.sum((cae.head.predict(z) - crops[r]) ** 2))
+    return total / (len(rows) * crops[0].size)
 
 
 def subchart_models(ds: SubchartDataset, cfg: ModelConfig) -> tuple[CAEModel, CNN1DModel]:
@@ -546,14 +546,16 @@ def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConf
     """
     tr, _va, _te = split_indices(ds.order, ds.member, tc)
     cae, cnn1d = subchart_models(ds, cfg)
-    train_imgs = ds.subcharts[tr].reshape((-1,) + ds.subcharts.shape[2:])
-    epoch_mse = [_recon_mse(cae, cae.encode(train_imgs), train_imgs)]
-    epoch_mse += _fit(cae, (train_imgs,), train_imgs, range(len(train_imgs)), loss_mse, tc, "cae-shuffle")
+    crops = ds.subcharts.reshape((-1,) + ds.subcharts.shape[2:])
+    rows = np.arange(len(crops)).reshape(ds.subcharts.shape[:2])[tr].ravel()  # training samples' crops
+    latent = np.concatenate([cae.encode(crops[r]) for (r,) in _chunks((rows,))])
+    epoch_mse = [_recon_mse(cae, latent, crops, rows)]
+    epoch_mse += _fit(cae, (crops,), crops, rows, loss_mse, tc, "cae-shuffle")
 
     clf_ts = encode_subcharts(cae, ds)
     if tc.epochs:
         latent = clf_ts.inputs[tr].transpose(0, 2, 1).reshape(-1, cae.cfg.latent_dim)
-        epoch_mse[-1] = _recon_mse(cae, latent, train_imgs)
+        epoch_mse[-1] = _recon_mse(cae, latent, crops, rows)
     report = train(cnn1d, clf_ts, tc)
     return SubchartPipelineResult(
         cae=cae, cnn1d=cnn1d, cae_epoch_mse=epoch_mse, training_set=clf_ts, report=report

@@ -14,14 +14,13 @@ def _check_finite(a: np.ndarray, where: str) -> None:
 
 
 class Sequential:
-    """A validated chain of layers with one sub-seed per layer position."""
+    """A validated chain of float32 layers with one sub-seed per layer position."""
 
     def __init__(
         self,
         specs: list[LayerSpec],
         input_shape: tuple[int, ...],
         seed: int,
-        dtype=np.float32,
     ) -> None:
         self.specs = tuple(specs)
         self.input_shape = tuple(input_shape)
@@ -31,7 +30,7 @@ class Sequential:
         self.shapes = shapes
         self.output_shape = shapes[-1]
         sm = SplitMix64(seed)
-        self.params: list[Params] = [init_params(s, sm.next_u64(), dtype) for s in self.specs]
+        self.params: list[Params] = [init_params(s, sm.next_u64()) for s in self.specs]
 
     def forward(self, x: np.ndarray):
         caches = []

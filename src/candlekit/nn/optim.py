@@ -19,25 +19,23 @@ def sgd_step(params: Iterable[Params], lr: float) -> None:
         p.grad_b[...] = 0
 
 
-def adam_step(
-    params: Iterable[Params],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    t: int | None = None,
-) -> None:
-    """Adam with bias correction; ``t`` defaults to the per-Params counter."""
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def adam_step(params: Iterable[Params], lr: float) -> None:
+    """Adam with bias correction at each Params' own step count."""
     for p in params:
         if not p.has_params:
             continue
-        p.step = t if t is not None else p.step + 1
-        corr1 = 1.0 - beta1**p.step
-        corr2 = 1.0 - beta2**p.step
+        p.step += 1
+        corr1 = 1.0 - _BETA1**p.step
+        corr2 = 1.0 - _BETA2**p.step
         for w, g, m, v in ((p.weight, p.grad_w, p.m_w, p.v_w), (p.bias, p.grad_b, p.m_b, p.v_b)):
-            m[...] = beta1 * m + (1.0 - beta1) * g
-            v[...] = beta2 * v + (1.0 - beta2) * g * g
+            m[...] = _BETA1 * m + (1.0 - _BETA1) * g
+            v[...] = _BETA2 * v + (1.0 - _BETA2) * g * g
             m_hat = m / corr1
             v_hat = v / corr2
-            w -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(w.dtype)
+            w -= (lr * m_hat / (np.sqrt(v_hat) + _EPS)).astype(w.dtype)
             g[...] = 0

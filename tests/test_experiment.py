@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from candlekit.errors import (
     SourceNotFound,
 )
 from candlekit.experiment import (
+    ARM_MODELS,
     _model_config,
     build_dataset,
     load_manifest,
@@ -32,8 +34,11 @@ from candlekit.experiment import (
 )
 from candlekit.models import build_model
 from candlekit.nn import arrays_to_bytes
-from candlekit.market_data import synth_series, window
-from candlekit.raster import RasterImage, RenderSpec, read_ppm, render_window, resize_nearest, write_ppm
+from candlekit.market_data import synth_series, window, write_csv
+from candlekit.patterns import Direction, PatternKind, PatternMatch
+from candlekit.raster import (
+    RasterImage, RenderSpec, read_ppm, render_pattern, render_window, resize_nearest, write_ppm,
+)
 
 BASE_DOC = {
     "master_seed": 42,
@@ -159,6 +164,9 @@ class TestManifest:
         {"output_dir": 5},
         {"model": {"window": 3, "subchart_k": 3, "block_widths": [4, 8]}},
         {"datasets": [{"name": "a", "synth": {"n": 50}}, {"name": "m", "members": [["a"]]}]},
+        {"arms": [{"arm_name": "x", "model": "two_stream", "include_pattern": False}]},
+        {"arms": [{"arm_name": "x", "model": "mini_cnn", "include_pattern": True}]},
+        {"train": {"seed": 5}},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
@@ -167,10 +175,15 @@ class TestManifest:
         "window-below-subchart_k", "name-dotdot", "name-dot", "name-abs", "name-sep",
         "name-hidden", "name-int", "arm-name-sep", "include_pattern-str", "csv_path-int",
         "output_dir-int", "window-too-short-for-cnn1d", "member-list",
+        "two_stream-without-pattern", "mini_cnn-with-pattern", "train-seed",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
             manifest(tmp_path, **override)
+
+    def test_include_pattern_follows_the_model(self, tmp_path):
+        man = manifest(tmp_path, arms=[{"arm_name": m, "model": m} for m in ARM_MODELS])
+        assert [a.include_pattern for a in man.arms] == [m == "two_stream" for m in ARM_MODELS]
 
     @settings(max_examples=300, deadline=None)
     @given(doc=json_manifests())
@@ -262,16 +275,23 @@ class TestBuildDataset:
 
 
 def chart_dir(tmp_path, spec, n_candles, n_charts=3):
-    """A dataset directory of ``n_charts`` history charts of ``n_candles`` candles each."""
+    """A dataset directory of ``n_charts`` history charts of ``n_candles`` candles each.
+
+    Their pattern crops cover the last 1, 2, 3, 1, ... candles in turn.
+    """
     series = synth_series(5, n_candles + n_charts)
-    (tmp_path / "history").mkdir()
+    (tmp_path / "history").mkdir(parents=True)
+    (tmp_path / "pattern").mkdir()
     rows = []
     for i in range(n_charts):
         end = n_candles - 1 + i
-        path = f"history/{i}.ppm"
-        (tmp_path / path).write_bytes(write_ppm(render_window(window(series, end, n_candles), spec)))
+        hist, pat = f"history/{i}.ppm", f"pattern/{i}.ppm"
+        win = window(series, end, n_candles)
+        match = PatternMatch(PatternKind.DOJI, end, i % 3 + 1, Direction.NEUTRAL)
+        (tmp_path / hist).write_bytes(write_ppm(render_window(win, spec)))
+        (tmp_path / pat).write_bytes(write_ppm(render_pattern(win, match, spec)))
         rows.append(json.dumps({"end_index": end, "strength": "strong" if i % 2 else "weak",
-                                "history_image_path": path, "pattern_image_path": path}))
+                                "history_image_path": hist, "pattern_image_path": pat}))
     (tmp_path / "manifest.jsonl").write_text("\n".join(rows) + "\n")
     return tmp_path
 
@@ -287,6 +307,19 @@ class TestAssembly:
         assert merged.pattern.shape == (len(merged), 3, 16, 16)
         assert merged.inputs.dtype == np.float32
         assert merged.inputs.max() <= 1.0 and merged.inputs.min() >= 0.0
+
+    def test_training_set_equals_per_image_reference(self, tmp_path):
+        # a merged pair of members whose pattern crops span 1, 2 and 3 candles
+        spec = RenderSpec(candle_px=3, gap_px=2, margin_px=3, height_px=24)
+        dirs = [chart_dir(tmp_path / "a", spec, n_candles=6), chart_dir(tmp_path / "b", spec, 9, 4)]
+        rows = [(d, row) for d in dirs for row in load_manifest_rows(d)]
+        ts = assemble_training_set(dirs, (32, 32), (16, 16), True)
+        for arr, key, hw in ((ts.inputs, "history_image_path", (32, 32)),
+                             (ts.pattern, "pattern_image_path", (16, 16))):
+            ref = np.stack([image_to_array(resize_nearest(read_ppm((d / row[key]).read_bytes()), *hw))
+                            for d, row in rows])
+            assert arr.dtype == ref.dtype and arr.flags.c_contiguous
+            assert np.array_equal(arr, ref)
 
     def test_subchart_dataset_has_28_crops(self, tmp_path):
         man = manifest(tmp_path)
@@ -429,6 +462,46 @@ class TestRunExperiment:
         for cell in cells:
             cell = cell.strip()
             assert cell == "n/a" or len(cell.split(".")[1]) == 3
+
+    def test_rerun_with_a_smaller_manifest_gives_the_fresh_tree(self, tmp_path):
+        small = {"datasets": [{"name": "alpha", "synth": {"n": 320, "volatility": 0.02}}],
+                 "arms": [BASE_DOC["arms"][1]]}
+        run_experiment(manifest(tmp_path, output_dir="reused"))
+        reused = tmp_path / "reused"
+        (reused / "datasets" / ".beta.tmp").mkdir()  # left by a killed build
+        before = tree(reused)
+        # entries the last report does not list: a user's folder and a `candlekit train` run
+        (reused / "datasets" / "raw").mkdir()
+        (reused / "datasets" / "raw" / "prices.csv").write_text("Date,Open,High,Low,Close\n")
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(BASE_DOC | {"datasets": [{"name": "gamma", "synth": {"n": 320}}]}))
+        assert cli_main(["train", "--manifest", str(other), "--dataset", "gamma",
+                         "--arm", "non_pattern", "--out", str(reused)]) == 0
+        theirs = {k: v for k, v in tree(reused).items() if k not in before}
+        assert Path("checkpoints/gamma__non_pattern.ckpt") in theirs
+        run_experiment(manifest(tmp_path, output_dir="reused", **small))
+        run_experiment(manifest(tmp_path, output_dir="fresh", **small))
+        assert tree(reused) == tree(tmp_path / "fresh") | theirs
+
+    def test_failed_rebuild_keeps_the_last_build(self, tmp_path):
+        (tmp_path / "prices.csv").write_text(write_csv(synth_series(5, 320)))
+        man = manifest(tmp_path, datasets=[{"name": "file", "csv_path": "prices.csv"}],
+                       arms=[BASE_DOC["arms"][1]])
+        run_experiment(man)
+        kept = tree(tmp_path / "out")
+        (tmp_path / "prices.csv").unlink()
+        assert run_experiment(man).rows[0]["error"].startswith("SourceNotFound")
+        assert {k: v for k, v in tree(tmp_path / "out").items() if k.name not in REPORTS} == {
+            k: v for k, v in kept.items() if k.name not in REPORTS
+        }
+
+
+REPORTS = ("report.json", "report.md")
+
+
+def tree(d):
+    """Every path under ``d``, relative, mapped to its bytes (None for a directory)."""
+    return {p.relative_to(d): p.read_bytes() if p.is_file() else None for p in d.rglob("*")}
 
 
 class TestCli:

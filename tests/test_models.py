@@ -23,7 +23,8 @@ from candlekit.errors import (
     InvalidShape,
     LengthMismatch,
 )
-from candlekit.models import _PREDICT_CHUNK, CAEModel
+from candlekit.models import _PREDICT_CHUNK, CAEModel, _fit, encode_subcharts, subchart_models
+from candlekit.nn import loss_mse
 from candlekit.rng import Rng
 
 from oracles import oracle_metrics
@@ -352,3 +353,40 @@ class TestTrainSubchartPipeline:
         assert result.cae_epoch_mse[-1] == recon_mse(result.cae)
         untrained = train_subchart_pipeline(ds, replace(tc, epochs=0), cfg)
         assert len(untrained.cae_epoch_mse) == 1 and len(untrained.report.entries) == 1
+
+    def test_cae_on_merged_rows_equals_training_on_copied_crops(self):
+        # two members split apart, so the training samples are not one
+        # contiguous range of rows; the CAE trains on row numbers into a view
+        # of the sub-chart array and must match a run on the copied crops
+        rng = np.random.default_rng(10)
+        n, s = 40, 6
+        ds = SubchartDataset(
+            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+            labels=(rng.random(n) < 0.5).astype(np.float32),
+            order=np.tile(np.arange(n // 2, dtype=np.int64), 2),
+            member=np.repeat(np.arange(2, dtype=np.int64), n // 2),
+        )
+        cfg = ModelConfig(variant="cae", input_shape=(3, 8, 8), block_widths=(4, 8),
+                          latent_dim=8, seq_len=s, seed=2)
+        tc = TrainConfig(epochs=2, batch_size=16, seed=3)
+        tr, _va, _te = split_indices(ds.order, ds.member, tc)
+        assert np.any(np.diff(tr) != 1)
+
+        cae, _cnn1d = subchart_models(ds, cfg)
+        imgs = ds.subcharts[tr].reshape((-1, 3, 8, 8))
+
+        def recon_mse(latent):
+            total = 0.0
+            for i in range(0, len(imgs), _PREDICT_CHUNK):
+                z, x = latent[i : i + _PREDICT_CHUNK], imgs[i : i + _PREDICT_CHUNK]
+                total += float(np.sum((cae.head.predict(z) - x) ** 2))
+            return total / imgs.size
+
+        first = recon_mse(cae.encode(imgs))
+        losses = list(_fit(cae, (imgs,), imgs, range(len(imgs)), loss_mse, tc, "cae-shuffle"))
+        latent = encode_subcharts(cae, ds).inputs[tr].transpose(0, 2, 1).reshape(-1, 8)
+
+        result = train_subchart_pipeline(ds, tc, cfg)
+        assert result.cae_epoch_mse == [first, *losses[:-1], recon_mse(latent)]
+        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(result.cae.arrays(), cae.arrays(), strict=True))
