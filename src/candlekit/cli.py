@@ -21,12 +21,11 @@ from .experiment import (
     evaluate_checkpoint,
     load_manifest,
     load_report,
-    read_input,
     render_report,
     run_arm,
     run_experiment,
 )
-from .fileio import write_atomic
+from .fileio import read_input, write_atomic
 from .market_data import Series, parse_csv, synth_series, window
 from .patterns import PatternRuleParams, detect_all
 from .raster import RenderSpec, read_ppm, render_window, write_ppm

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .decompose import subchart_spans
-from .errors import EmptyDataset, ManifestError, ShapeMismatch, SourceNotFound
+from .errors import EmptyDataset, ManifestError, ShapeMismatch
+from .fileio import read_input
 from .market_data import Candle, CandleWindow
 from .models import SubchartDataset, TrainingSet
 from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window
@@ -41,10 +42,8 @@ _ROW_KEYS = ("end_index", "strength", "history_image_path", "pattern_image_path"
 def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
     """The rows of ``manifest.jsonl``; ManifestError for a line that is not a full row."""
     path = Path(dataset_dir) / "manifest.jsonl"
-    try:
-        lines = [line for line in path.read_bytes().splitlines() if line.strip()]
-    except OSError as exc:
-        raise SourceNotFound(f"no manifest.jsonl under {dataset_dir}") from exc
+    data = read_input(path, "dataset manifest", Path.read_bytes)
+    lines = [line for line in data.splitlines() if line.strip()]
     rows = []
     for n, line in enumerate(lines, start=1):
         try:
@@ -94,10 +93,7 @@ def _gather(pairs, key: str, hw: tuple[int, int], spans) -> np.ndarray:
     h, w = hw
     out = None
     for i, (d, row) in enumerate(pairs):
-        try:
-            img = read_ppm((d / row[key]).read_bytes())
-        except OSError as exc:
-            raise SourceNotFound(f"image {row[key]} not found under {d}") from exc
+        img = read_ppm(read_input(d / row[key], "image", Path.read_bytes))
         x0, x1 = spans(img).T
         cols = x0[:, None] + nearest_index(x1 - x0 + 1, w)
         crops = img.pixels[nearest_index(img.height_px, h)][:, cols]  # (h, S, w, 3)

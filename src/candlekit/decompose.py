@@ -66,12 +66,14 @@ def _pack_color(c: tuple[int, int, int]) -> int:
     return (c[0] << 16) | (c[1] << 8) | c[2]
 
 
-def _runs(image: RasterImage, spec: RenderSpec) -> np.ndarray:
-    """(n, 2) inclusive first and last columns of each :func:`segment_columns` run."""
-    packed = _pack(image.pixels)
-    empty = (packed == _pack_color(spec.background)) | (
-        packed == _pack_color(spec.annotation_tint)
-    )
+def _empty(packed: np.ndarray, spec: RenderSpec) -> np.ndarray:
+    """Mask of the packed pixels that are background or annotation tint."""
+    return (packed == _pack_color(spec.background)) | (packed == _pack_color(spec.annotation_tint))
+
+
+def _runs(empty: np.ndarray) -> np.ndarray:
+    """(n, 2) inclusive first and last columns of each :func:`segment_columns` run,
+    from the chart's :func:`_empty` mask."""
     occupied = ~empty.all(axis=0)
     if not occupied.any():
         raise NoCandlesFound("image has no occupied columns")
@@ -82,7 +84,8 @@ def _runs(image: RasterImage, spec: RenderSpec) -> np.ndarray:
 
 def segment_columns(image: RasterImage, spec: RenderSpec = RenderSpec()) -> list[CandleExtent]:
     """Maximal runs of columns holding any non-background, non-tint pixel."""
-    return [CandleExtent(int(x0), int(x1), i) for i, (x0, x1) in enumerate(_runs(image, spec))]
+    runs = _runs(_empty(_pack(image.pixels), spec))
+    return [CandleExtent(int(x0), int(x1), i) for i, (x0, x1) in enumerate(runs)]
 
 
 def subcharts(
@@ -108,7 +111,8 @@ def subchart_spans(image: RasterImage, spec: RenderSpec = RenderSpec(), k: int =
     """
     if k < 1 or stride < 1:
         raise BadParams("k and stride must be >= 1")
-    runs = _runs(image, spec)
+    empty = _empty(_pack(image.pixels), spec)
+    runs = _runs(empty)
     n = len(runs)
     if n < k:
         raise TooFewCandles(f"chart has {n} candles, need at least {k}")
@@ -147,9 +151,7 @@ def inverse_parse(
         y, x = np.argwhere(foreign)[0]
         raise UnknownColor(f"pixel at ({y}, {x}) = {tuple(image.pixels[y, x])} not in palette")
 
-    empty = (packed == _pack_color(spec.background)) | (
-        packed == _pack_color(spec.annotation_tint)
-    )
+    empty = _empty(packed, spec)
     if max_high == min_low:
         occupied_rows = np.nonzero(~empty.all(axis=1))[0]
         if len(occupied_rows) > 1:
@@ -160,15 +162,14 @@ def inverse_parse(
     up = _pack_color(spec.up_color)
     down = _pack_color(spec.down_color)
     parsed: list[ParsedCandle] = []
-    for ext in segment_columns(image, spec):
-        xc = (ext.x_start + ext.x_end) // 2
-        wick_rows = np.nonzero(~empty[:, xc])[0]
+    for i, (x0, x1) in enumerate(_runs(empty)):
+        wick_rows = np.nonzero(~empty[:, (x0 + x1) // 2])[0]
         y_high, y_low = int(wick_rows[0]), int(wick_rows[-1])
 
-        body_col = packed[:, ext.x_start]
+        body_col = packed[:, x0]
         body_rows = np.nonzero((body_col == up) | (body_col == down))[0]
         if len(body_rows) == 0:
-            raise UnknownColor(f"no body pixels in extent {ext.index}")
+            raise UnknownColor(f"no body pixels in extent {i}")
         y_top, y_bot = int(body_rows[0]), int(body_rows[-1])
         direction = ParsedDirection.UP if body_col[y_top] == up else ParsedDirection.DOWN
 

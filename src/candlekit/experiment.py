@@ -24,15 +24,15 @@ import math
 import platform
 import re
 import shutil
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
-from .errors import BadRow, BadSpec, CandlekitError, EmptyDataset, ManifestError, SourceNotFound
-from .fileio import write_atomic
+from .errors import BadParams, BadSpec, CandlekitError, EmptyDataset, ManifestError, SourceNotFound
+from .fileio import read_input, write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
@@ -110,7 +110,7 @@ class ModelSettings:
         for the CNN1D's ceil(len(block_widths) / 2) halving max-pools.
         """
         for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
-            values = _expect(getattr(self, key), tuple, f"model {key}")
+            values = getattr(self, key)
             if not values or any(_expect(v, int, f"model {key} entry") < 1 for v in values):
                 raise ManifestError(f"model {key} needs positive entries, got {values!r}")
             if key.endswith("_hw") and len(values) != 2:
@@ -118,7 +118,7 @@ class ModelSettings:
         if any(v % 4 for v in self.subchart_hw):
             raise ManifestError(f"model subchart_hw must be divisible by 4, got {self.subchart_hw}")
         for key in ("fc_dim", "latent_dim", "window", "subchart_k", "subchart_stride"):
-            if _expect(getattr(self, key), int, f"model {key}") < 1:
+            if getattr(self, key) < 1:
                 raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
         if self.window < self.subchart_k:
             raise ManifestError(f"model window {self.window} is shorter than subchart_k {self.subchart_k}")
@@ -146,21 +146,28 @@ class ExperimentManifest:
 
 
 def _expect(value, kind: type, what: str):
-    """``value`` if it is a ``kind`` (a bool is not an int); ManifestError otherwise."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    """``value`` if it is a ``kind`` (an int passes for a float, a bool for
+    neither, and a float must be finite); ManifestError otherwise."""
+    kinds = (int, float) if kind is float else kind
+    if (not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool)
+            or (kind is float and not -math.inf < value < math.inf)):
         raise ManifestError(f"{what} must be {kind.__name__}, got {value!r}")
     return value
 
 
 def _build_dc(cls, payload, what: str, *list_keys: str):
-    """``cls(**payload)`` with the lists under ``list_keys`` made tuples."""
+    """``cls(**payload)`` with the lists under ``list_keys`` made tuples; each
+    given value must have the type of its field's default."""
     payload = {
         k: tuple(v) if k in list_keys and isinstance(v, list) else v
         for k, v in _expect(payload, dict, f"{what} section").items()
     }
+    for f in fields(cls):
+        if f.name in payload:
+            _expect(payload[f.name], type(f.default), f"{what} {f.name}")
     try:
         return cls(**payload)
-    except TypeError as exc:
+    except (TypeError, BadParams) as exc:
         raise ManifestError(f"bad {what} section: {exc}") from exc
 
 
@@ -182,8 +189,9 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
 
     Missing, duplicate or path-unsafe dataset and arm names, wrong types
     for the document, its lists, entries, sections, seed, synth ``n``,
-    ``csv_path``, ``include_pattern`` and ``output_dir``, an
-    ``include_pattern`` that disagrees with the arm's model, a ``train``
+    ``csv_path``, ``include_pattern``, ``output_dir`` and every section
+    value (each takes its field default's type), a section value its class
+    rejects, an ``include_pattern`` that disagrees with the arm's model, a ``train``
     ``seed`` (each arm's is derived from ``master_seed``), a render spec
     that fails ``RenderSpec.validate`` and model settings that fail
     ``ModelSettings.validate`` raise ManifestError here rather than mid-run.
@@ -252,7 +260,7 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     )
     try:
         render_spec.validate()
-    except (BadSpec, TypeError) as exc:
+    except BadSpec as exc:
         raise ManifestError(f"bad render section: {exc}") from exc
     model_settings = _build_dc(
         ModelSettings, doc.get("model", {}), "model",
@@ -275,19 +283,6 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         model_settings=model_settings,
         base_dir=Path(base_dir),
     )
-
-
-def read_input(path: str | Path, what: str, read=Path.read_text):
-    """``read(path)`` for an input file.
-
-    SourceNotFound when it cannot be read, BadRow when its text does not decode.
-    """
-    try:
-        return read(Path(path))
-    except OSError as exc:
-        raise SourceNotFound(f"{what} not found: {path}") from exc
-    except UnicodeDecodeError as exc:
-        raise BadRow(f"{what} {path} is not text: {exc}") from exc
 
 
 def _read_json(path: str | Path, what: str):

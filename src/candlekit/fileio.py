@@ -1,9 +1,29 @@
-"""Atomic file writes: a reader finds the old file or the new one, never a part."""
+"""File reads and writes. Every input file is read through ``read_input``,
+which turns a failed read into a CandlekitError; every output goes through
+``write_atomic``, so a reader finds the old file or the new one, never a part."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import BadRow, SourceNotFound
+
+
+def read_input(path: str | Path, what: str, read=Path.read_text):
+    """``read(path)`` for an input file.
+
+    SourceNotFound when it cannot be read (a path with a NUL byte included),
+    BadRow when its text does not decode.
+    """
+    path = Path(path)
+    try:
+        return read(path)
+    except UnicodeDecodeError as exc:  # a ValueError too, so it is caught first
+        raise BadRow(f"{what} {str(path)!r} is not text: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise SourceNotFound(f"{what} cannot be read: {str(path)!r}: {reason}") from exc
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:

@@ -98,6 +98,8 @@ class TrainConfig:
             raise BadParams("epochs must be >= 0")
         if self.batch_size < 1:
             raise BadParams("batch_size must be >= 1")
+        if not 0 < self.lr < math.inf:  # also false for NaN
+            raise BadParams(f"lr must be finite and > 0, got {self.lr}")
         if self.optimizer not in ("adam", "sgd"):
             raise BadParams(f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if not (0 < self.train_frac < 1 and 0 < self.val_frac < 1):

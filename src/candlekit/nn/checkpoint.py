@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, MalformedHeader, SourceNotFound
-from ..fileio import write_atomic
+from ..errors import CorruptCheckpoint, MalformedHeader
+from ..fileio import read_input, write_atomic
 
 MAGIC = b"CKPT"
 VERSION = 1
@@ -73,8 +73,4 @@ def save_arrays(path: str | Path, arrays: list[np.ndarray]) -> None:
 
 
 def load_arrays(path: str | Path) -> list[np.ndarray]:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise SourceNotFound(f"checkpoint cannot be read: {path}: {exc.strerror}") from exc
-    return bytes_to_arrays(data)
+    return bytes_to_arrays(read_input(path, "checkpoint", Path.read_bytes))

@@ -119,18 +119,14 @@ def grad_check(
     g_out = _uniform_array(g_rng, y.shape)
 
     dx = backward(spec, params, cache, g_out)
-    analytic = [dx]
-    if params.has_params:
-        analytic.extend((params.grad_w.copy(), params.grad_b.copy()))
-        params.grad_w[...] = 0
-        params.grad_b[...] = 0
 
     def objective() -> float:
         out, _ = forward(spec, params, x)
         return float(np.sum(out * g_out))
 
-    targets = [x] + ([params.weight, params.bias] if params.has_params else [])
-    return _max_rel_error(objective, targets, analytic, h)
+    if params is None:
+        return _max_rel_error(objective, [x], [dx], h)
+    return _max_rel_error(objective, [x, params.flat], [dx, params.grad], h)
 
 
 def grad_check_loss(kind: str, seed: int, h: float = 1e-5, n: int = 16) -> float:

@@ -154,24 +154,19 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Params:
-    """Weight/bias with same-shape gradient and Adam-moment buffers."""
+    """One layer's weight and bias as one flat vector, with a same-length
+    gradient, Adam moments and step count. ``weight``, ``bias``, ``grad_w``
+    and ``grad_b`` are views into ``flat`` and ``grad``."""
 
-    __slots__ = ("weight", "bias", "grad_w", "grad_b", "m_w", "v_w", "m_b", "v_b", "step")
+    __slots__ = ("flat", "grad", "m", "v", "step", "weight", "bias", "grad_w", "grad_b")
 
-    def __init__(self, weight: np.ndarray | None, bias: np.ndarray | None) -> None:
-        self.weight = weight
-        self.bias = bias
-        self.grad_w = np.zeros_like(weight) if weight is not None else None
-        self.grad_b = np.zeros_like(bias) if bias is not None else None
-        self.m_w = np.zeros_like(weight) if weight is not None else None
-        self.v_w = np.zeros_like(weight) if weight is not None else None
-        self.m_b = np.zeros_like(bias) if bias is not None else None
-        self.v_b = np.zeros_like(bias) if bias is not None else None
+    def __init__(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        n = weight.size
+        self.flat = np.concatenate([weight.ravel(), bias])
+        self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
         self.step = 0
-
-    @property
-    def has_params(self) -> bool:
-        return self.weight is not None
+        self.weight, self.bias = self.flat[:n].reshape(weight.shape), self.flat[n:]
+        self.grad_w, self.grad_b = self.grad[:n].reshape(weight.shape), self.grad[n:]
 
 
 def _he_uniform(shape: tuple[int, ...], fan_in: int, seed: int, dtype) -> np.ndarray:
@@ -180,8 +175,9 @@ def _he_uniform(shape: tuple[int, ...], fan_in: int, seed: int, dtype) -> np.nda
     return flat.reshape(shape).astype(dtype)
 
 
-def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params:
-    """He-uniform weights (U(-b, b), b = sqrt(6/fan_in)), zero biases."""
+def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params | None:
+    """He-uniform weights (U(-b, b), b = sqrt(6/fan_in)), zero biases; None
+    for a layer without parameters."""
     if isinstance(spec, _CONV):
         if min(spec.in_ch, spec.out_ch, spec.kernel, spec.stride) < 1 or spec.pad < 0:
             raise BadSpec(f"bad {type(spec).__name__} spec {spec}")
@@ -193,13 +189,11 @@ def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params:
             raise BadSpec(f"bad Dense spec {spec}")
         w = _he_uniform((spec.n_in, spec.n_out), spec.n_in, seed, dtype)
         return Params(w, np.zeros(spec.n_out, dtype=dtype))
-    if isinstance(spec, _POOL):
-        if min(spec.k, spec.stride) < 1:
-            raise BadSpec(f"bad pool spec {spec}")
-        return Params(None, None)
+    if isinstance(spec, _POOL) and min(spec.k, spec.stride) < 1:
+        raise BadSpec(f"bad pool spec {spec}")
     if isinstance(spec, NearestUpsample2D) and spec.factor < 1:
         raise BadSpec(f"bad upsample factor {spec.factor}")
-    return Params(None, None)
+    return None
 
 
 def _taps(k: int, s: int, dims: tuple[int, ...]) -> list[tuple]:
@@ -222,7 +216,7 @@ def _patches(buf: np.ndarray, k: int, padded: tuple, grid: tuple) -> np.ndarray:
     return v.reshape(n, c * k ** len(grid), size)
 
 
-def forward(spec: LayerSpec, params: Params, x: np.ndarray):
+def forward(spec: LayerSpec, params: Params | None, x: np.ndarray):
     """Returns (output, cache); cache feeds the matching backward call."""
     if isinstance(spec, _CONV):
         r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
@@ -270,10 +264,10 @@ def forward(spec: LayerSpec, params: Params, x: np.ndarray):
     raise BadSpec(f"unknown layer spec {spec!r}")
 
 
-def backward(spec: LayerSpec, params: Params, cache, grad_out: np.ndarray, need_dx: bool = True):
+def backward(spec: LayerSpec, params: Params | None, cache, grad_out: np.ndarray, need_dx: bool = True):
     """Exact reverse-mode gradient; accumulates into params.grad_w/grad_b.
     With ``need_dx`` false it skips the input gradient and returns None."""
-    if not (need_dx or params.has_params):
+    if not need_dx and params is None:
         return None
     if isinstance(spec, _CONV):
         (x_shape, buf, padded, grid), (n, o), k = cache, grad_out.shape[:2], spec.kernel

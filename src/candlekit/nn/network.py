@@ -30,7 +30,7 @@ class Sequential:
         self.shapes = shapes
         self.output_shape = shapes[-1]
         sm = SplitMix64(seed)
-        self.params: list[Params] = [init_params(s, sm.next_u64()) for s in self.specs]
+        self.params: list[Params | None] = [init_params(s, sm.next_u64()) for s in self.specs]
 
     def forward(self, x: np.ndarray):
         caches = []
@@ -58,15 +58,11 @@ class Sequential:
         return grad
 
     def trainable(self) -> list[Params]:
-        return [p for p in self.params if p.has_params]
+        return [p for p in self.params if p is not None]
 
     def arrays(self) -> list[np.ndarray]:
         """Weights and biases in layer order (checkpoint order)."""
-        out: list[np.ndarray] = []
-        for p in self.params:
-            if p.has_params:
-                out.extend((p.weight, p.bias))
-        return out
+        return [a for p in self.trainable() for a in (p.weight, p.bias)]
 
     def set_arrays(self, arrays: list[np.ndarray]) -> None:
         own = self.arrays()

@@ -79,7 +79,7 @@ class RenderSpec:
             self.annotation_tint,
         )
         for c in colors:
-            if len(c) != 3 or any(not (0 <= v <= 255) for v in c):
+            if len(c) != 3 or any(type(v) is not int or not 0 <= v <= 255 for v in c):
                 raise BadSpec(f"bad RGB triple {c}")
         if len(set(colors)) != len(colors):
             raise BadSpec("up/down/wick/background/tint colors must be pairwise distinct")

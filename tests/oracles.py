@@ -1,13 +1,16 @@
 """Independent straight-line oracles used to cross-check the library.
 
 Everything here is written longhand from plain OHLC tuples (and, for the
-convolution, max-pool and upsample oracles, nested lists) on purpose: no shared
+convolution, max-pool and upsample oracles, nested lists; for the optimizer
+oracle, lists of float32 scalars) on purpose: no shared
 helpers with the package, no enum dispatch, no vectorization. If the
 library and these functions agree, the agreement is between two
 separately written routes.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def _mean(xs):
@@ -262,3 +265,35 @@ def oracle_segment_columns(pixels, empty_colors):
             extents.append((start, x))
         x += 1
     return extents
+
+
+def oracle_optimizer(kind, weight, bias, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """SGD or Adam steps in float32, element by element, on weight and bias apart.
+
+    ``weight`` and ``bias`` are flat lists of np.float32 and ``grads`` a list
+    of (weight gradient, bias gradient) pairs, one per step, in the same
+    form. Each element follows w -= lr * g (SGD), or Adam's
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    w -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), with every
+    constant rounded to float32 before it meets an array value. Returns the
+    final (weight, bias).
+    """
+    f32 = np.float32
+    out = []
+    for which, values in enumerate((weight, bias)):
+        w = list(values)
+        m = [f32(0.0)] * len(w)
+        v = [f32(0.0)] * len(w)
+        for t, pair in enumerate(grads, start=1):
+            g = pair[which]
+            for i in range(len(w)):
+                if kind == "sgd":
+                    w[i] = w[i] - f32(lr) * g[i]
+                    continue
+                m[i] = f32(beta1) * m[i] + f32(1.0 - beta1) * g[i]
+                v[i] = f32(beta2) * v[i] + f32(1.0 - beta2) * g[i] * g[i]
+                m_hat = m[i] / f32(1.0 - beta1**t)
+                v_hat = v[i] / f32(1.0 - beta2**t)
+                w[i] = w[i] - f32(lr) * m_hat / (np.sqrt(v_hat) + f32(eps))
+        out.append(w)
+    return out[0], out[1]

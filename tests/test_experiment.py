@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -28,12 +29,13 @@ from candlekit.experiment import (
     _model_config,
     build_dataset,
     load_manifest,
+    load_report,
     manifest_from_dict,
     render_report,
     run_experiment,
 )
 from candlekit.models import build_model
-from candlekit.nn import arrays_to_bytes
+from candlekit.nn import arrays_to_bytes, load_arrays
 from candlekit.market_data import synth_series, window, write_csv
 from candlekit.patterns import Direction, PatternKind, PatternMatch
 from candlekit.raster import (
@@ -167,6 +169,17 @@ class TestManifest:
         {"arms": [{"arm_name": "x", "model": "two_stream", "include_pattern": False}]},
         {"arms": [{"arm_name": "x", "model": "mini_cnn", "include_pattern": True}]},
         {"train": {"seed": 5}},
+        {"train": {"epochs": 1.5}},
+        {"render": {"candle_px": 5.0}},
+        {"pattern": {"trend_lookback": 2.5}},
+        {"labeler": {"horizon": 2.5}},
+        {"train": {"lr": -1.0}},
+        {"train": {"lr": float("nan")}},
+        {"train": {"epochs": True}},
+        {"train": {"chronological": "no"}},
+        {"render": {"up_color": [0, 168.0, 0]}},
+        {"pattern": {"doji_body_frac": float("nan")}},
+        {"datasets": [{"name": "a", "synth": {"n": 50, "volatility": float("inf")}}]},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
@@ -176,6 +189,9 @@ class TestManifest:
         "name-hidden", "name-int", "arm-name-sep", "include_pattern-str", "csv_path-int",
         "output_dir-int", "window-too-short-for-cnn1d", "member-list",
         "two_stream-without-pattern", "mini_cnn-with-pattern", "train-seed",
+        "epochs-float", "candle_px-float", "trend_lookback-float", "horizon-float",
+        "lr-negative", "lr-nan", "epochs-bool", "chronological-str", "color-float",
+        "doji_body_frac-nan", "volatility-inf",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
@@ -365,8 +381,9 @@ class TestAssembly:
         ("missing-ppm", SourceNotFound),
         ("path-not-str", ManifestError),
         ("end_index-bool", ManifestError),
+        ("path-nul", SourceNotFound),
     ], ids=["not-json", "not-object", "missing-key", "missing-ppm", "path-not-str",
-            "end_index-bool"])
+            "end_index-bool", "path-nul"])
     def test_bad_dataset_dir_fails_both_assemblers(self, tmp_path, damage, error):
         man = manifest(tmp_path)
         ddir = build_dataset(man, "alpha")
@@ -375,9 +392,10 @@ class TestAssembly:
         row = json.loads(lines[0])
         if damage == "missing-ppm":
             (ddir / row["history_image_path"]).unlink()
-        elif damage in ("path-not-str", "end_index-bool"):
+        elif damage in ("path-not-str", "end_index-bool", "path-nul"):
             row.update({"path-not-str": {"history_image_path": None},
-                        "end_index-bool": {"end_index": True}}[damage])
+                        "end_index-bool": {"end_index": True},
+                        "path-nul": {"history_image_path": "history/\u0000.ppm"}}[damage])
             lines[0] = json.dumps(row)
             path.write_text("\n".join(lines) + "\n")
         else:
@@ -630,14 +648,18 @@ class TestCli:
         ["report", "--report-json", "bad.json"],
         ["detect", "--csv", "undecodable.csv"],
         ["report", "--report-json", "keyless.json"],
+        ["build-dataset", "--manifest", "nul_csv.json"],
     ], ids=[
         "csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad",
-        "csv-undecodable", "report-keyless",
+        "csv-undecodable", "report-keyless", "csv-path-nul",
     ])
     def test_file_input_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         # missing files, a file that is not JSON, a CSV with a byte that is not
-        # UTF-8, and a report without the keys the renderer reads
+        # UTF-8, a report without the keys the renderer reads, and a csv_path
+        # holding a NUL byte
         monkeypatch.chdir(tmp_path)
+        nul_doc = dict(BASE_DOC, datasets=[{"name": "a", "csv_path": "a\u0000.csv"}])
+        (tmp_path / "nul_csv.json").write_text(json.dumps(nul_doc))
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "undecodable.csv").write_bytes(
             b"Date,Open,High,Low,Close\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1,2,0.5,\xff\n"
@@ -659,3 +681,23 @@ class TestCli:
         ) == 0
         md = capsys.readouterr().out
         assert md == (tmp_path / "out" / "report.md").read_text()
+
+    @pytest.mark.parametrize("path", ["gone", "a\u0000b"], ids=["missing", "nul"])
+    def test_unreadable_report_and_checkpoint_paths(self, tmp_path, path):
+        with pytest.raises(SourceNotFound):
+            load_report(tmp_path / path)
+        with pytest.raises(SourceNotFound):
+            load_arrays(tmp_path / path)
+
+
+def test_only_fileio_reads_files():
+    # every input file goes through fileio.read_input, which maps each failure
+    # to a CandlekitError; a second reader would map them its own way
+    src = Path(__file__).resolve().parent.parent / "src" / "candlekit"
+    call = re.compile(r"(\.read_bytes|\.read_text|\bopen)\(")
+    readers = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py")) if path.name != "fileio.py"
+        for n, line in enumerate(path.read_text().splitlines(), start=1) if call.search(line)
+    ]
+    assert readers == []

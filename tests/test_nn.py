@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_conv, oracle_maxpool, oracle_upsample_grad
+from oracles import oracle_conv, oracle_maxpool, oracle_optimizer, oracle_upsample_grad
 
 from candlekit import nn
 from candlekit.errors import (
@@ -317,6 +317,39 @@ class TestOptimizers:
         p.grad_w[...] = 1.0
         nn.adam_step([p], lr=1e-3)
         assert p.step == 2
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_steps_equal_the_longhand_oracle(self, kind):
+        # three steps on a conv and a dense layer, each element against the
+        # weight and bias updated apart in float32; lr is large and not a power
+        # of two, so a reordered product or sum changes some weight's last bit
+        step = {"adam": nn.adam_step, "sgd": nn.sgd_step}[kind]
+        layers = [nn.init_params(nn.Conv2D(2, 3, 3), seed=4), nn.init_params(nn.Dense(5, 2), seed=5)]
+        rng = np.random.default_rng(8)
+        start = [(list(p.weight.ravel()), list(p.bias)) for p in layers]
+        grads = [[] for _ in layers]
+        for _ in range(3):
+            for p, g in zip(layers, grads):
+                gw = rng.standard_normal(p.weight.shape).astype(np.float32)
+                gb = rng.standard_normal(p.bias.shape).astype(np.float32)
+                p.grad_w[...] = gw
+                p.grad_b[...] = gb
+                g.append((list(gw.ravel()), list(gb)))
+            step(layers, 0.3)
+            assert all((p.grad_w == 0).all() and (p.grad_b == 0).all() for p in layers)
+        for p, (w0, b0), g in zip(layers, start, grads):
+            want_w, want_b = oracle_optimizer(kind, w0, b0, g, 0.3)
+            assert p.weight.ravel().tobytes() == np.array(want_w, dtype=np.float32).tobytes()
+            assert p.bias.tobytes() == np.array(want_b, dtype=np.float32).tobytes()
+
+    def test_only_conv_and_dense_hold_params(self):
+        free = [nn.MaxPool1D(2, 2), nn.MaxPool2D(2, 2), nn.ReLU(), nn.Sigmoid(), nn.Flatten(),
+                nn.Reshape((2, 2)), nn.NearestUpsample2D(2)]
+        assert all(nn.init_params(spec, 0) is None for spec in free)
+        specs = [nn.Conv2D(1, 2, 3, pad=1), nn.ReLU(), nn.MaxPool2D(2, 2), nn.NearestUpsample2D(2),
+                 nn.Flatten(), nn.Dense(32, 4), nn.Sigmoid(), nn.Reshape((2, 2))]
+        net = nn.Sequential(specs, (1, 4, 4), seed=0)
+        assert [id(p) for p in net.trainable()] == [id(net.params[0]), id(net.params[5])]
 
 
 class TestSequential:
