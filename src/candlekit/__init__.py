@@ -2,7 +2,7 @@
 
 Rule-based pattern detection over OHLC series, deterministic chart
 rasterization with exact inverse parsing, and small numpy-backed CNNs
-(plain, two-stream, and autoencoder+1D pipelines) for trend-strength
+(plain, two-stream, and the autoencoder+1-D Decomposer) for trend-strength
 classification, plus a seeded experiment harness that makes every output
 byte a function of one master seed.
 """
@@ -39,11 +39,12 @@ from .market_data import (
     write_csv,
 )
 from .models import (
-    SubchartDataset,
-    SubchartPipelineResult,
+    Decomposer,
     EvalReport,
     MiniCNN,
+    Model,
     ModelConfig,
+    SubchartDataset,
     TrainConfig,
     TrainingSet,
     TrainReport,
@@ -53,7 +54,6 @@ from .models import (
     predict,
     split_indices,
     train,
-    train_subchart_pipeline,
 )
 from .patterns import (
     Direction,
@@ -79,13 +79,13 @@ __all__ = [
     "CandleExtent",
     "CandleWindow",
     "ColumnMap",
-    "SubchartDataset",
-    "SubchartPipelineResult",
+    "Decomposer",
     "Direction",
     "EvalReport",
     "LabeledSample",
     "LabelerParams",
     "MiniCNN",
+    "Model",
     "ModelConfig",
     "ParsedCandle",
     "ParsedDirection",
@@ -96,6 +96,7 @@ __all__ = [
     "RenderSpec",
     "Series",
     "StrengthLabel",
+    "SubchartDataset",
     "SynthParams",
     "TrainConfig",
     "TrainReport",
@@ -121,7 +122,6 @@ __all__ = [
     "subcharts",
     "synth_series",
     "train",
-    "train_subchart_pipeline",
     "trend_strength",
     "true_range",
     "window",

@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CandlekitError as exc:
+    except (CandlekitError, OSError) as exc:  # bad input, or an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -133,7 +133,7 @@ def assemble_subchart_dataset(
     pairs, labels, order, member = _read_rows(dataset_dirs)
     out = _gather(pairs, "history_image_path", sub_hw,
                   lambda img: subchart_spans(img, render_spec, k=k, stride=stride))
-    return SubchartDataset(subcharts=out, labels=labels, order=order, member=member)
+    return SubchartDataset(inputs=out, labels=labels, order=order, member=member)
 
 
 def _candle(t: int, level: float, crange: float, body_frac: float, bullish: bool) -> Candle:

@@ -36,6 +36,7 @@ from .fileio import read_input, write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
+    VARIANTS as ARM_MODELS,
     EvalReport,
     Model,
     ModelConfig,
@@ -44,21 +45,15 @@ from .models import (
     TrainReport,
     batch_inputs,
     build_model,
-    encode_subcharts,
     evaluate,
     predict,
-    set_arrays,
     split_indices,
-    subchart_models,
     train,
-    train_subchart_pipeline,
 )
 from .nn import load_arrays, save_arrays
 from .patterns import PatternRuleParams
 from .raster import RenderSpec, render_pattern, render_window, write_ppm
 from .rng import derive_seed
-
-ARM_MODELS = ("mini_cnn", "two_stream", "subchart")
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,11 @@ class ModelSettings:
     subchart_k: int = 3
     subchart_stride: int = 1
 
+    @property
+    def seq_len(self) -> int:
+        """Sub-charts per chart: the length of the sequence the Decomposer's CNN1D reads."""
+        return (self.window - self.subchart_k) // self.subchart_stride + 1
+
     def validate(self) -> None:
         """ManifestError unless every arm can build from these values.
 
@@ -122,11 +122,10 @@ class ModelSettings:
                 raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
         if self.window < self.subchart_k:
             raise ManifestError(f"model window {self.window} is shorter than subchart_k {self.subchart_k}")
-        seq_len = (self.window - self.subchart_k) // self.subchart_stride + 1
         need = 2 ** math.ceil(len(self.block_widths) / 2)
-        if seq_len < need:
+        if self.seq_len < need:
             raise ManifestError(
-                f"model window {self.window} gives {seq_len} sub-charts; "
+                f"model window {self.window} gives {self.seq_len} sub-charts; "
                 f"{len(self.block_widths)} block widths need at least {need}"
             )
 
@@ -381,16 +380,17 @@ def _members(man: ExperimentManifest, name: str) -> tuple[str, ...]:
 
 
 def _model_config(man: ExperimentManifest, ds_name: str, arm: ArmSpec) -> ModelConfig:
-    """The arm's model config; the subchart pipeline takes its input shapes from the data."""
+    """The arm's model config; the subchart arm's input is one sub-chart, ``seq_len`` of them per chart."""
     ms = man.model_settings
     return ModelConfig(
-        variant="cae" if arm.model == "subchart" else arm.model,
-        input_shape=(3,) + tuple(ms.hist_hw),
+        variant=arm.model,
+        input_shape=(3,) + tuple(ms.subchart_hw if arm.model == "subchart" else ms.hist_hw),
         block_widths=ms.block_widths,
         fc_dim=ms.fc_dim,
         pattern_shape=(3,) + tuple(ms.pattern_hw),
         pattern_widths=ms.pattern_widths,
         latent_dim=ms.latent_dim,
+        seq_len=ms.seq_len,
         seed=derive_seed(man.master_seed, f"model:{ds_name}:{arm.arm_name}"),
     )
 
@@ -445,25 +445,20 @@ def run_arm(
     arm: ArmSpec,
     out_root: Path,
 ) -> ArmOutcome:
-    """Train and test one (dataset, arm) pair; saves ``checkpoints/<dataset>__<arm>.ckpt``.
+    """Train and test one (dataset, arm) pair; saves its arrays to ``checkpoints/<dataset>__<arm>.ckpt``.
 
-    That one file holds the model's arrays: for the subchart arm, the CAE's, then the CNN1D's.
+    A Decomposer's CAE record gives the row's ``cae_mse_first`` and ``cae_mse_final``.
     """
-    cfg = _model_config(man, ds_name, arm)
     tc = _train_config(man, ds_name, arm)
     (out_root / "checkpoints").mkdir(parents=True, exist_ok=True)
-    data = _assemble(man, dirs, ds_name, arm)
-    extra: dict = {}
-    if arm.model == "subchart":
-        result = train_subchart_pipeline(data, tc, cfg)
-        parts, ts, report = (result.cae, result.cnn1d), result.training_set, result.report
-        extra = {"cae_mse_first": result.cae_epoch_mse[0], "cae_mse_final": result.cae_epoch_mse[-1]}
-    else:
-        parts, ts = (build_model(cfg),), data
-        report = train(parts[0], ts, tc)
-    rep = _test_report(parts[-1], ts, tc)
+    ts = _assemble(man, dirs, ds_name, arm)
+    model = build_model(_model_config(man, ds_name, arm))
+    report = train(model, ts, tc)
+    rep = _test_report(model, ts, tc)
     checkpoint = f"checkpoints/{ds_name}__{arm.arm_name}.ckpt"
-    save_arrays(out_root / checkpoint, [a for part in parts for a in part.arrays()])
+    save_arrays(out_root / checkpoint, model.arrays())
+    cae = report.cae_mse
+    extra = {"cae_mse_first": cae[0], "cae_mse_final": cae[-1]} if cae else {}
     strong = int(np.sum(ts.labels == 1.0))
     row = _arm_row(
         ds_name,
@@ -490,12 +485,10 @@ def evaluate_checkpoint(
     """
     arrays = load_arrays(checkpoint)
     dirs = {m: build_dataset(man, m) for m in _members(man, ds_name)}
-    data = _assemble(man, dirs, ds_name, arm)
-    cfg = _model_config(man, ds_name, arm)
-    parts = subchart_models(data, cfg) if arm.model == "subchart" else (build_model(cfg),)
-    set_arrays(parts, arrays)
-    ts = encode_subcharts(parts[0], data) if arm.model == "subchart" else data
-    return _test_report(parts[-1], ts, _train_config(man, ds_name, arm))
+    ts = _assemble(man, dirs, ds_name, arm)
+    model = build_model(_model_config(man, ds_name, arm))
+    model.set_arrays(arrays)
+    return _test_report(model, ts, _train_config(man, ds_name, arm))
 
 
 @dataclass

@@ -1,18 +1,19 @@
-"""Model zoo: MiniCNN, two-stream CNN, CAE, CNN1D, training, and metrics.
+"""Model zoo: MiniCNN, two-stream CNN, the Decomposer, training, and metrics.
 
-Every model is a :class:`Model`: one ``Sequential`` tower per input stream,
-whose flat outputs are concatenated and fed to an optional head. ``forward``
-takes a tuple of arrays, one per tower.
+Every arm's model is a :class:`Model`, which :func:`build_model`,
+:func:`train` and :func:`predict` handle alike; ``forward`` takes a tuple of
+arrays, one per input stream.
 
 MiniCNN is B blocks of [Conv3x3, ReLU, Conv3x3, ReLU, MaxPool2x2] with the
 given channel widths, then Flatten -> Dense -> ReLU -> Dense(1) -> Sigmoid;
 the single output is the predicted strength probability. The two-stream
 model runs one such tower on the history chart and an independent tower on
 the pattern crop, concatenates the flattened features, and fuses them with
-the same dense head. The CAE's tower compresses 3-channel sub-chart images
-to a latent vector and its head mirrors back up with nearest-neighbor
-upsampling; CNN1D classifies the per-window sequence of latent vectors and
-uses half the MiniCNN block count (rounded up).
+the same dense head. The Decomposer is the subchart arm's one model: its
+CAE compresses each 3-channel sub-chart to a latent vector (the CAE's head
+mirrors back up with nearest-neighbor upsampling), and its CNN1D classifies
+the chart's sequence of latent vectors with half the MiniCNN block count
+(rounded up).
 
 Splits are chronological by default: samples sorted by their series index,
 train first, validation next, test last, so there is no look-ahead
@@ -55,7 +56,7 @@ from .nn import (
 )
 from .rng import Rng, derive_seed
 
-VARIANTS = ("mini_cnn", "two_stream", "cae", "cnn1d")
+VARIANTS = ("mini_cnn", "two_stream", "subchart")
 
 # Rows per forward-only pass: at 256 a conv's patch matrix reached 8-30 MB and ran slower per image.
 _PREDICT_CHUNK = 64
@@ -70,7 +71,7 @@ class ModelConfig:
     pattern_shape: tuple[int, ...] = (3, 32, 32)
     pattern_widths: tuple[int, ...] = (8, 16)
     latent_dim: int = 32
-    seq_len: int = 28
+    seq_len: int = 28  # subchart only: sub-charts per chart, each of input_shape
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -122,14 +123,12 @@ class TrainingSet:
         return int(self.inputs.shape[0])
 
 
-@dataclass
-class SubchartDataset:
-    """Per-sample stacks of sub-chart images for the decompose pipeline."""
+class SubchartDataset(TrainingSet):
+    """A training set whose ``inputs`` are per-sample (N, S, C, H, W) stacks of sub-chart images."""
 
-    subcharts: np.ndarray  # (N, S, C, H, W)
-    labels: np.ndarray
-    order: np.ndarray
-    member: np.ndarray | None = None
+    @property
+    def subcharts(self) -> np.ndarray:
+        return self.inputs
 
 
 def _tower_specs(in_ch: int, widths: tuple[int, ...]) -> list:
@@ -152,6 +151,26 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Model:
+    """What every arm's model offers: ``forward`` over a tuple of ``streams``
+    input arrays, and ``arrays``/``set_arrays`` over ``parts`` in checkpoint order."""
+
+    streams = 1
+
+    def arrays(self):
+        return [a for part in self.parts for a in part.arrays()]
+
+    def set_arrays(self, arrays) -> None:
+        """Load checkpoint ``arrays`` into ``parts`` in turn, each taking as many as it holds."""
+        counts = [len(part.arrays()) for part in self.parts]
+        if sum(counts) != len(arrays):
+            raise ShapeMismatch(f"expected {sum(counts)} arrays, got {len(arrays)}")
+        start = 0
+        for part, n in zip(self.parts, counts):
+            part.set_arrays(arrays[start : start + n])
+            start += n
+
+
+class TowerModel(Model):
     """One ``Sequential`` tower per input stream, plus an optional head.
 
     A single-unit output comes back as ``(N,)``. Checkpoint order is the
@@ -164,6 +183,7 @@ class Model:
         self.towers = towers
         self.head = head
         self.parts = towers if head is None else towers + (head,)
+        self.streams = len(towers)
         self.output_shape = self.parts[-1].output_shape
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
@@ -191,29 +211,12 @@ class Model:
     def trainable(self):
         return [p for part in self.parts for p in part.trainable()]
 
-    def arrays(self):
-        return [a for part in self.parts for a in part.arrays()]
-
-    def set_arrays(self, arrays) -> None:
-        set_arrays(self.parts, arrays)
-
-
-def set_arrays(parts, arrays) -> None:
-    """Load checkpoint ``arrays`` into ``parts`` in turn, each taking as many as it holds."""
-    counts = [len(part.arrays()) for part in parts]
-    if sum(counts) != len(arrays):
-        raise ShapeMismatch(f"expected {sum(counts)} arrays, got {len(arrays)}")
-    start = 0
-    for part, n in zip(parts, counts):
-        part.set_arrays(arrays[start : start + n])
-        start += n
-
 
 def _dense_head(n_in: int, fc_dim: int) -> list:
     return [Dense(n_in, fc_dim), ReLU(), Dense(fc_dim, 1), Sigmoid()]
 
 
-class MiniCNN(Model):
+class MiniCNN(TowerModel):
     variant = "mini_cnn"
 
     def __init__(self, cfg: ModelConfig) -> None:
@@ -224,7 +227,7 @@ class MiniCNN(Model):
         super().__init__(cfg, (net,))
 
 
-class TwoStream(Model):
+class TwoStream(TowerModel):
     variant = "two_stream"
 
     def __init__(self, cfg: ModelConfig) -> None:
@@ -243,9 +246,7 @@ class TwoStream(Model):
         super().__init__(cfg, (hist, pattern), head)
 
 
-class CAEModel(Model):
-    variant = "cae"
-
+class CAEModel(TowerModel):
     def __init__(self, cfg: ModelConfig) -> None:
         c, h, w = cfg.input_shape
         w1, w2 = cfg.block_widths[0], cfg.block_widths[min(1, len(cfg.block_widths) - 1)]
@@ -275,7 +276,7 @@ class CAEModel(Model):
         return np.concatenate([self.towers[0].predict(c) for (c,) in _chunks((x,))], axis=0)
 
 
-class CNN1DModel(Model):
+class CNN1DModel(TowerModel):
     variant = "cnn1d"
 
     def __init__(self, cfg: ModelConfig) -> None:
@@ -293,6 +294,31 @@ class CNN1DModel(Model):
         super().__init__(cfg, (net,))
 
 
+class Decomposer(Model):
+    """The subchart arm's model: a CAE encodes each sub-chart and a CNN1D classifies the codes.
+
+    ``forward`` takes the raw (N, S, 3, h, w) sub-chart stacks; checkpoint
+    order is the CAE's encoder, its decoder, then the CNN1D.
+    """
+
+    variant = "subchart"
+
+    def __init__(self, cfg: ModelConfig) -> None:
+        self.cfg = cfg
+        self.cae, self.cnn1d = CAEModel(cfg), CNN1DModel(cfg)
+        self.parts = (self.cae, self.cnn1d)
+
+    def encode(self, stacks: np.ndarray) -> np.ndarray:
+        """Each sample's (latent_dim, S) sequence of sub-chart codes."""
+        n, s = stacks.shape[:2]
+        latent = self.cae.encode(stacks.reshape((-1,) + stacks.shape[2:]))
+        return np.ascontiguousarray(latent.reshape(n, s, -1).transpose(0, 2, 1))
+
+    def forward(self, inputs: tuple[np.ndarray, ...]):
+        (stacks,) = inputs
+        return self.cnn1d.forward((self.encode(stacks),))
+
+
 def _chunks(arrays: tuple[np.ndarray, ...]):
     """Tuples of the same ``_PREDICT_CHUNK`` consecutive rows of every array."""
     for i in range(0, len(arrays[0]), _PREDICT_CHUNK):
@@ -300,7 +326,7 @@ def _chunks(arrays: tuple[np.ndarray, ...]):
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    classes = {cls.variant: cls for cls in (MiniCNN, TwoStream, CAEModel, CNN1DModel)}
+    classes = {cls.variant: cls for cls in (MiniCNN, TwoStream, Decomposer)}
     return classes[cfg.variant](cfg)
 
 
@@ -379,8 +405,8 @@ def evaluate(probs, labels, threshold: float = 0.5) -> EvalReport:
 
 
 def batch_inputs(model: Model, ts: TrainingSet, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows ``idx`` of the first ``len(model.towers)`` streams of ``ts``."""
-    streams = (ts.inputs, ts.pattern)[: len(model.towers)]
+    """The rows ``idx`` of the first ``model.streams`` streams of ``ts``."""
+    streams = (ts.inputs, ts.pattern)[: model.streams]
     if any(s is None for s in streams):
         raise ShapeMismatch(f"{type(model).__name__} needs a pattern stream in the training set")
     return tuple(s[idx] for s in streams)
@@ -442,6 +468,7 @@ class TrainReport:
     n_train: int = 0
     n_val: int = 0
     n_test: int = 0
+    cae_mse: list[float] = field(default_factory=list)  # a Decomposer's CAE record (see _train_cae)
 
     def to_json(self) -> str:
         rows = [
@@ -459,6 +486,7 @@ class TrainReport:
             "n_train": self.n_train,
             "n_val": self.n_val,
             "n_test": self.n_test,
+            "cae_mse": self.cae_mse,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -469,7 +497,7 @@ class TrainReport:
         return self.entries[-1].val_accuracy
 
 
-def _fit(model: Model, streams: tuple[np.ndarray, ...], targets: np.ndarray, rows, loss,
+def _fit(model: TowerModel, streams: tuple[np.ndarray, ...], targets: np.ndarray, rows, loss,
          tc: TrainConfig, tag: str):
     """Mini-batch training on ``rows`` of ``streams``; yields each epoch's mean minibatch loss."""
     shuffle_rng = Rng(derive_seed(tc.seed, tag))
@@ -489,7 +517,12 @@ def _fit(model: Model, streams: tuple[np.ndarray, ...], targets: np.ndarray, row
 
 
 def train(model: Model, ts: TrainingSet, tc: TrainConfig) -> TrainReport:
-    """Mini-batch BCE training; epoch 0 records the untrained val metrics."""
+    """Mini-batch BCE training; epoch 0 records the untrained val metrics.
+
+    A Decomposer's CNN1D trains on the sequences :func:`_train_cae` encodes."""
+    if isinstance(model, Decomposer):
+        encoded, cae_mse = _train_cae(model, ts, tc)
+        return replace(train(model.cnn1d, encoded, tc), cae_mse=cae_mse)
     tr, va, te = split_indices(ts.order, ts.member, tc)
     report = TrainReport(n_train=len(tr), n_val=len(va), n_test=len(te))
     streams = batch_inputs(model, ts, slice(None))
@@ -500,19 +533,6 @@ def train(model: Model, ts: TrainingSet, tc: TrainConfig) -> TrainReport:
     return report
 
 
-@dataclass
-class SubchartPipelineResult:
-    cae: CAEModel
-    cnn1d: CNN1DModel
-    cae_epoch_mse: list[float]  # full-pass MSE at [0] and [-1] ([-1] from training_set), minibatch between
-    training_set: TrainingSet  # every sample's encoded (latent_dim, S) sequence
-    report: TrainReport
-
-    @property
-    def encoded_shape(self) -> tuple[int, ...]:
-        return tuple(self.training_set.inputs.shape)
-
-
 def _recon_mse(cae: CAEModel, latent: np.ndarray, crops: np.ndarray, rows: np.ndarray) -> float:
     """MSE of ``cae.head``'s decoding of ``latent`` against ``crops[rows]``, row for row."""
     total = 0.0
@@ -521,44 +541,23 @@ def _recon_mse(cae: CAEModel, latent: np.ndarray, crops: np.ndarray, rows: np.nd
     return total / (len(rows) * crops[0].size)
 
 
-def subchart_models(ds: SubchartDataset, cfg: ModelConfig) -> tuple[CAEModel, CNN1DModel]:
-    """The untrained CAE and CNN1D for ``ds``'s sub-chart image shape and count."""
-    cae = CAEModel(replace(cfg, variant="cae", input_shape=tuple(ds.subcharts.shape[2:])))
-    return cae, CNN1DModel(replace(cfg, variant="cnn1d", seq_len=ds.subcharts.shape[1]))
+def _train_cae(model: Decomposer, ts: TrainingSet, tc: TrainConfig) -> tuple[TrainingSet, list[float]]:
+    """A Decomposer's CAE trained with MSE on the training partition's sub-charts.
 
-
-def encode_subcharts(cae: CAEModel, ds: SubchartDataset) -> TrainingSet:
-    """Every sample's sub-chart sequence encoded into a (latent_dim, S) tensor."""
-    n, s = ds.subcharts.shape[:2]
-    latent = cae.encode(ds.subcharts.reshape((-1,) + ds.subcharts.shape[2:]))
-    encoded = np.ascontiguousarray(latent.reshape(n, s, cae.cfg.latent_dim).transpose(0, 2, 1))
-    return TrainingSet(inputs=encoded, labels=ds.labels, order=ds.order, member=ds.member)
-
-
-def train_subchart_pipeline(ds: SubchartDataset, tc: TrainConfig, cfg: ModelConfig) -> SubchartPipelineResult:
-    """Two-phase decompose pipeline.
-
-    Phase 1 trains the CAE on the training partition's sub-chart images
-    with MSE. ``cae_epoch_mse`` holds the reconstruction MSE over all of
-    them before training and after the last epoch, and each epoch's mean
-    minibatch MSE in between. Phase 2 freezes the encoder, encodes every
-    sample's sub-chart sequence into a (latent_dim, S) tensor, and trains
-    CNN1D on the strength labels with BCE. The result carries that encoded
-    training set, so callers slice it rather than encode again.
+    Returns every sample's encoded (latent_dim, S) sequence and the MSE record:
+    over all training sub-charts before training and after the last epoch (from
+    that one encode of every sample), each epoch's mean minibatch MSE between.
     """
-    tr, _va, _te = split_indices(ds.order, ds.member, tc)
-    cae, cnn1d = subchart_models(ds, cfg)
-    crops = ds.subcharts.reshape((-1,) + ds.subcharts.shape[2:])
-    rows = np.arange(len(crops)).reshape(ds.subcharts.shape[:2])[tr].ravel()  # training samples' crops
+    tr, _va, _te = split_indices(ts.order, ts.member, tc)
+    cae, stacks = model.cae, ts.inputs
+    crops = stacks.reshape((-1,) + stacks.shape[2:])
+    rows = np.arange(len(crops)).reshape(stacks.shape[:2])[tr].ravel()  # training samples' crops
     latent = np.concatenate([cae.encode(crops[r]) for (r,) in _chunks((rows,))])
     epoch_mse = [_recon_mse(cae, latent, crops, rows)]
     epoch_mse += _fit(cae, (crops,), crops, rows, loss_mse, tc, "cae-shuffle")
 
-    clf_ts = encode_subcharts(cae, ds)
+    encoded = TrainingSet(inputs=model.encode(stacks), labels=ts.labels, order=ts.order, member=ts.member)
     if tc.epochs:
-        latent = clf_ts.inputs[tr].transpose(0, 2, 1).reshape(-1, cae.cfg.latent_dim)
+        latent = encoded.inputs[tr].transpose(0, 2, 1).reshape(-1, cae.cfg.latent_dim)
         epoch_mse[-1] = _recon_mse(cae, latent, crops, rows)
-    report = train(cnn1d, clf_ts, tc)
-    return SubchartPipelineResult(
-        cae=cae, cnn1d=cnn1d, cae_epoch_mse=epoch_mse, training_set=clf_ts, report=report
-    )
+    return encoded, epoch_mse

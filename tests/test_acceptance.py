@@ -23,6 +23,7 @@ from candlekit import (
     MiniCNN,
     ModelConfig,
     TrainingSet,
+    build_model,
     detect_all,
     evaluate,
     inverse_parse,
@@ -32,7 +33,6 @@ from candlekit import (
     subcharts,
     synth_series,
     train,
-    train_subchart_pipeline,
     window,
 )
 from candlekit import nn
@@ -277,18 +277,20 @@ def test_7_cae_objective(tmp_path):
         ddir = build_dataset(man, "desk_a")
         ds = assemble_subchart_dataset([ddir], (16, 16), man.render_spec, k=3, stride=1)
         cfg = ModelConfig(
-            variant="cae",
+            variant="subchart",
             input_shape=(3, 16, 16),
             block_widths=(4, 8),
             latent_dim=16,
             seed=9,
         )
-        result = train_subchart_pipeline(ds, TrainConfig(epochs=2, batch_size=32, seed=21), cfg)
-        first, last = result.cae_epoch_mse[0], result.cae_epoch_mse[-1]
+        model = build_model(cfg)
+        report = train(model, ds, TrainConfig(epochs=2, batch_size=32, seed=21))
+        first, last = report.cae_mse[0], report.cae_mse[-1]
         assert last <= 0.5 * first, f"MSE {first} -> {last}"
-        n = ds.subcharts.shape[0]
-        assert result.encoded_shape == (n, 16, 28)
-        print(f"  MSE {first:.4f} -> {last:.4f}, encoded {result.encoded_shape}", end=" ")
+        n = ds.inputs.shape[0]
+        encoded_shape = model.encode(ds.inputs).shape
+        assert encoded_shape == (n, 16, 28)
+        print(f"  MSE {first:.4f} -> {last:.4f}, encoded {encoded_shape}", end=" ")
 
 
 @pytest.fixture(scope="module")

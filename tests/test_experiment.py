@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import shutil
@@ -341,8 +342,9 @@ class TestAssembly:
         man = manifest(tmp_path)
         ddir = build_dataset(man, "alpha")
         ds = assemble_subchart_dataset([ddir], (16, 16), man.render_spec)
-        assert ds.subcharts.shape[1] == 28
-        assert ds.subcharts.shape[2:] == (3, 16, 16)
+        assert ds.subcharts is ds.inputs
+        assert ds.inputs.shape[1] == 28
+        assert ds.inputs.shape[2:] == (3, 16, 16)
 
     @pytest.mark.parametrize("spec", [
         RenderSpec(candle_px=3, gap_px=2, margin_px=3, height_px=24),
@@ -362,8 +364,8 @@ class TestAssembly:
             ])
             for row in load_manifest_rows(ddir)
         ])
-        assert ds.subcharts.dtype == ref.dtype and ds.subcharts.flags.c_contiguous
-        assert np.array_equal(ds.subcharts, ref)
+        assert ds.inputs.dtype == ref.dtype and ds.inputs.flags.c_contiguous
+        assert np.array_equal(ds.inputs, ref)
 
     def test_charts_with_different_subchart_counts_raise_shape_mismatch(self, tmp_path):
         spec = RenderSpec()
@@ -583,6 +585,17 @@ class TestCli:
         assert cli_main(["eval", *common, "--checkpoint", str(ckpt)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_train_writes_the_whole_cae_record(self, tmp_path, capsys):
+        # every epoch's CAE MSE, not only the two ends the row keeps
+        man_path = self._tiny_manifest(tmp_path)
+        man_path.write_text(json.dumps(json.loads(man_path.read_text()) | {"train": {"epochs": 3}}))
+        assert cli_main(["train", "--manifest", str(man_path), "--dataset", "alpha", "--arm", "sub"]) == 0
+        run_dir = tmp_path / "out" / "train" / "alpha__sub"
+        row = json.loads((run_dir / "row.json").read_text())
+        record = json.loads((run_dir / "train_report.json").read_text())["cae_mse"]
+        assert len(record) == 4
+        assert [record[0], record[-1]] == [row["cae_mse_first"], row["cae_mse_final"]]
+
     @pytest.mark.parametrize("arm,checkpoint", [
         ("sub", None),
         ("sub", "non_pattern"),
@@ -668,6 +681,29 @@ class TestCli:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["render", "--synth", "100", "--out", "missing/x.ppm"],
+        ["decompose", "--image", "chart.ppm", "--out-dir", "afile"],
+        ["report", "--report-json", "report.json", "--out-dir", "afile"],
+        ["experiment", "--manifest", "man.json", "--out", "afile"],
+    ], ids=["render-dir-missing", "decompose-dir-is-file", "report-dir-is-file",
+            "experiment-out-is-file"])
+    def test_output_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
+        # an output path under a directory that does not exist, or a
+        # directory path that names an existing file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "chart.ppm").write_bytes(
+            write_ppm(render_window(window(synth_series(5, 60), 40, 30), RenderSpec()))
+        )
+        (tmp_path / "report.json").write_text(
+            json.dumps({"rows": [], "environment": {"version": "0", "python": "3", "numpy": "2",
+                                                    "master_seed": 0}})
+        )
+        (tmp_path / "man.json").write_text(json.dumps(BASE_DOC))
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_report_subcommand_rerenders(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["datasets"] = [{"name": "alpha", "synth": {"n": 320}}]
@@ -688,6 +724,13 @@ class TestCli:
             load_report(tmp_path / path)
         with pytest.raises(SourceNotFound):
             load_arrays(tmp_path / path)
+
+
+@pytest.mark.parametrize("module", ["candlekit", "candlekit.nn"])
+def test_every_exported_name_resolves(module):
+    # a name left in __all__ after its definition is gone breaks `from ... import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_only_fileio_reads_files():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from candlekit import (
+    Decomposer,
     SubchartDataset,
     MiniCNN,
     ModelConfig,
@@ -15,7 +16,6 @@ from candlekit import (
     predict,
     split_indices,
     train,
-    train_subchart_pipeline,
 )
 from candlekit.errors import (
     BadParams,
@@ -23,7 +23,7 @@ from candlekit.errors import (
     InvalidShape,
     LengthMismatch,
 )
-from candlekit.models import _PREDICT_CHUNK, CAEModel, _fit, encode_subcharts, subchart_models
+from candlekit.models import _PREDICT_CHUNK, CAEModel, _fit
 from candlekit.nn import loss_mse
 from candlekit.rng import Rng
 
@@ -72,16 +72,16 @@ class TestBuildModel:
         assert ((probs > 0) & (probs < 1)).all()
 
     def test_cnn1d_zero_length_pooling_fails_at_build(self):
-        cfg = ModelConfig(variant="cnn1d", block_widths=(8, 16, 32), latent_dim=8, seq_len=3)
+        cfg = ModelConfig(variant="subchart", block_widths=(8, 16, 32), latent_dim=8, seq_len=3)
         with pytest.raises(InvalidShape):
             build_model(cfg)
 
     def test_cnn1d_uses_half_the_blocks(self):
         from candlekit.nn import Conv1D
 
-        cfg = ModelConfig(variant="cnn1d", block_widths=(8, 16, 32), latent_dim=8, seq_len=28)
+        cfg = ModelConfig(variant="subchart", block_widths=(8, 16, 32), latent_dim=8, seq_len=28)
         m = build_model(cfg)
-        conv_blocks = [s for s in m.towers[0].specs if isinstance(s, Conv1D)]
+        conv_blocks = [s for s in m.cnn1d.towers[0].specs if isinstance(s, Conv1D)]
         assert len(conv_blocks) == 2  # ceil(3 / 2)
 
     def test_bad_variant(self):
@@ -295,17 +295,18 @@ class TestTrainSubchartPipeline:
         rng = np.random.default_rng(8)
         n, s = 30, 6
         ds = SubchartDataset(
-            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.arange(n, dtype=np.int64),
         )
-        cfg = ModelConfig(variant="cae", input_shape=(3, 8, 8), block_widths=(4, 8),
+        cfg = ModelConfig(variant="subchart", input_shape=(3, 8, 8), block_widths=(4, 8),
                           latent_dim=8, seq_len=s, seed=2)
-        result = train_subchart_pipeline(ds, TrainConfig(epochs=2, batch_size=16, seed=3), cfg)
-        assert result.encoded_shape == (n, 8, s)
-        assert len(result.cae_epoch_mse) == 3
-        assert result.cae_epoch_mse[-1] < result.cae_epoch_mse[0]
-        assert len(result.report.entries) == 3
+        model = build_model(cfg)
+        report = train(model, ds, TrainConfig(epochs=2, batch_size=16, seed=3))
+        assert model.encode(ds.inputs).shape == (n, 8, s)
+        assert len(report.cae_mse) == 3
+        assert report.cae_mse[-1] < report.cae_mse[0]
+        assert len(report.entries) == 3
 
     def test_phase2_on_uninformative_labels_sits_at_chance(self):
         # noise images with independent random labels: the classifier has
@@ -313,14 +314,14 @@ class TestTrainSubchartPipeline:
         rng = np.random.default_rng(12)
         n, s = 240, 6
         ds = SubchartDataset(
-            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.arange(n, dtype=np.int64),
         )
-        cfg = ModelConfig(variant="cae", input_shape=(3, 8, 8), block_widths=(4, 8),
+        cfg = ModelConfig(variant="subchart", input_shape=(3, 8, 8), block_widths=(4, 8),
                           latent_dim=8, seq_len=s, seed=2)
-        result = train_subchart_pipeline(ds, TrainConfig(epochs=3, batch_size=32, seed=4), cfg)
-        assert 0.40 <= result.report.final_val_accuracy() <= 0.60
+        report = train(build_model(cfg), ds, TrainConfig(epochs=3, batch_size=32, seed=4))
+        assert 0.40 <= report.final_val_accuracy() <= 0.60
 
     def test_cae_record_ends_are_full_reconstruction_passes(self):
         # [0] and [-1] are the reconstruction MSE over every training crop
@@ -330,15 +331,15 @@ class TestTrainSubchartPipeline:
         rng = np.random.default_rng(9)
         n, s = 30, 6
         ds = SubchartDataset(
-            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.arange(n, dtype=np.int64),
         )
-        cfg = ModelConfig(variant="cae", input_shape=(3, 8, 8), block_widths=(4, 8),
+        cfg = ModelConfig(variant="subchart", input_shape=(3, 8, 8), block_widths=(4, 8),
                           latent_dim=8, seq_len=s, seed=2)
         tc = TrainConfig(epochs=2, batch_size=16, seed=3)
         tr, _va, _te = split_indices(ds.order, ds.member, tc)
-        crops = ds.subcharts[tr].reshape((-1, 3, 8, 8))
+        crops = ds.inputs[tr].reshape((-1, 3, 8, 8))
         assert len(crops) % _PREDICT_CHUNK
 
         def recon_mse(cae):
@@ -348,11 +349,12 @@ class TestTrainSubchartPipeline:
                 total += float(np.sum((cae.forward((chunk,))[0] - chunk) ** 2))
             return total / crops.size
 
-        result = train_subchart_pipeline(ds, tc, cfg)
-        assert result.cae_epoch_mse[0] == recon_mse(CAEModel(cfg))
-        assert result.cae_epoch_mse[-1] == recon_mse(result.cae)
-        untrained = train_subchart_pipeline(ds, replace(tc, epochs=0), cfg)
-        assert len(untrained.cae_epoch_mse) == 1 and len(untrained.report.entries) == 1
+        model = build_model(cfg)
+        report = train(model, ds, tc)
+        assert report.cae_mse[0] == recon_mse(CAEModel(cfg))
+        assert report.cae_mse[-1] == recon_mse(model.cae)
+        untrained = train(build_model(cfg), ds, replace(tc, epochs=0))
+        assert len(untrained.cae_mse) == 1 and len(untrained.entries) == 1
 
     def test_cae_on_merged_rows_equals_training_on_copied_crops(self):
         # two members split apart, so the training samples are not one
@@ -361,19 +363,20 @@ class TestTrainSubchartPipeline:
         rng = np.random.default_rng(10)
         n, s = 40, 6
         ds = SubchartDataset(
-            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.tile(np.arange(n // 2, dtype=np.int64), 2),
             member=np.repeat(np.arange(2, dtype=np.int64), n // 2),
         )
-        cfg = ModelConfig(variant="cae", input_shape=(3, 8, 8), block_widths=(4, 8),
+        cfg = ModelConfig(variant="subchart", input_shape=(3, 8, 8), block_widths=(4, 8),
                           latent_dim=8, seq_len=s, seed=2)
         tc = TrainConfig(epochs=2, batch_size=16, seed=3)
         tr, _va, _te = split_indices(ds.order, ds.member, tc)
         assert np.any(np.diff(tr) != 1)
 
-        cae, _cnn1d = subchart_models(ds, cfg)
-        imgs = ds.subcharts[tr].reshape((-1, 3, 8, 8))
+        ref = build_model(cfg)
+        cae = ref.cae
+        imgs = ds.inputs[tr].reshape((-1, 3, 8, 8))
 
         def recon_mse(latent):
             total = 0.0
@@ -384,9 +387,31 @@ class TestTrainSubchartPipeline:
 
         first = recon_mse(cae.encode(imgs))
         losses = list(_fit(cae, (imgs,), imgs, range(len(imgs)), loss_mse, tc, "cae-shuffle"))
-        latent = encode_subcharts(cae, ds).inputs[tr].transpose(0, 2, 1).reshape(-1, 8)
+        latent = ref.encode(ds.inputs)[tr].transpose(0, 2, 1).reshape(-1, 8)
 
-        result = train_subchart_pipeline(ds, tc, cfg)
-        assert result.cae_epoch_mse == [first, *losses[:-1], recon_mse(latent)]
+        model = build_model(cfg)
+        report = train(model, ds, tc)
+        assert report.cae_mse == [first, *losses[:-1], recon_mse(latent)]
         assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                   for a, b in zip(result.cae.arrays(), cae.arrays(), strict=True))
+                   for a, b in zip(model.cae.arrays(), cae.arrays(), strict=True))
+
+    def test_predict_on_raw_stacks_equals_cnn1d_on_encoded_sequences(self):
+        # the inference path (encode inside forward, per chunk of samples)
+        # against encoding every sample first; 70 rows: not a whole number of chunks
+        rng = np.random.default_rng(11)
+        n, s = 70, 6
+        assert n % _PREDICT_CHUNK
+        stacks = rng.random((n, s, 3, 8, 8), dtype=np.float32)
+        model = build_model(ModelConfig(variant="subchart", input_shape=(3, 8, 8),
+                                        block_widths=(4, 8), latent_dim=8, seq_len=s, seed=5))
+        assert isinstance(model, Decomposer)
+        probs = predict(model, (stacks,))
+        assert probs.shape == (n,)
+        assert np.array_equal(probs, predict(model.cnn1d, (model.encode(stacks),)))
+
+    def test_arrays_are_the_cae_then_the_cnn1d(self):
+        model = build_model(ModelConfig(variant="subchart", input_shape=(3, 8, 8),
+                                        block_widths=(4, 8), latent_dim=8, seq_len=6, seed=5))
+        own = model.arrays()
+        parts = model.cae.arrays() + model.cnn1d.arrays()
+        assert len(own) == len(parts) and all(a is b for a, b in zip(own, parts))
