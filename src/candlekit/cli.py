@@ -1,8 +1,9 @@
 """Command-line front end over the library.
 
 Subcommands: build-dataset, detect, render, decompose, train, eval,
-experiment, report. Every subcommand accepts --manifest and --seed;
---seed and --out override the manifest's master_seed and output_dir.
+experiment, report. Every subcommand but report accepts --manifest, and
+every one but report and decompose accepts --seed; --seed and --out
+override the manifest's master_seed and output_dir.
 """
 
 from __future__ import annotations
@@ -31,16 +32,17 @@ from .patterns import PatternRuleParams, detect_all
 from .raster import RenderSpec, read_ppm, render_window, write_ppm
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--manifest", type=Path, help="experiment manifest (JSON)")
-    p.add_argument("--seed", type=int, help="override the manifest master seed")
+    if seed:
+        p.add_argument("--seed", type=int, help="override the manifest master seed")
 
 
 def _manifest(args) -> ExperimentManifest | None:
     if args.manifest is None:
         return None
     man = load_manifest(args.manifest)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         man.master_seed = args.seed
     if getattr(args, "out", None) is not None:
         man.output_dir = str(args.out)
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("decompose", help="cut a chart PPM into k-candle sub-charts")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--image", type=Path, required=True)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--stride", type=int, default=1)
@@ -219,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_experiment)
 
     p = sub.add_parser("report", help="re-render markdown from a report.json")
-    _add_common(p)
     p.add_argument("--report-json", type=Path, required=True)
     p.add_argument("--out-dir", type=Path)
     p.set_defaults(fn=_cmd_report)

@@ -52,10 +52,12 @@ def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
             raise ManifestError(f"{path} row {n} is not JSON: {exc}") from exc
         if not (isinstance(row, dict) and set(_ROW_KEYS) <= row.keys()
                 and type(row["end_index"]) is int
+                and row["strength"] in ("strong", "weak")
                 and isinstance(row["history_image_path"], str)
                 and isinstance(row["pattern_image_path"], str)):
             raise ManifestError(
-                f"{path} row {n} needs keys {_ROW_KEYS}, an int end_index and str image paths"
+                f"{path} row {n} needs keys {_ROW_KEYS}, an int end_index, "
+                "a strength of 'strong' or 'weak' and str image paths"
             )
         rows.append(row)
     if not rows:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
-from .errors import BadParams, BadSpec, CandlekitError, EmptyDataset, ManifestError, SourceNotFound
+from .errors import CandlekitError, EmptyDataset, ManifestError, SourceNotFound
 from .fileio import read_input, write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
@@ -45,6 +45,7 @@ from .models import (
     TrainReport,
     batch_inputs,
     build_model,
+    check_shapes,
     evaluate,
     predict,
     split_indices,
@@ -82,7 +83,10 @@ class ArmSpec:
 
 @dataclass(frozen=True)
 class ModelSettings:
-    """Input geometry and widths shared by all arms."""
+    """Input geometry and widths shared by all arms, checked when built: each
+    ``*_hw`` is two positive ints, each width list positive and non-empty,
+    ``window``/``subchart_k``/``subchart_stride`` at least 1, and every arm
+    kind's :meth:`model_config` must pass the models' own ``check_shapes``."""
 
     hist_hw: tuple[int, int] = (64, 64)
     pattern_hw: tuple[int, int] = (32, 32)
@@ -95,39 +99,32 @@ class ModelSettings:
     subchart_k: int = 3
     subchart_stride: int = 1
 
-    @property
-    def seq_len(self) -> int:
-        """Sub-charts per chart: the length of the sequence the Decomposer's CNN1D reads."""
-        return (self.window - self.subchart_k) // self.subchart_stride + 1
-
-    def validate(self) -> None:
-        """ManifestError unless every arm can build from these values.
-
-        Each ``*_hw`` is two positive ints, ``subchart_hw`` divisible by 4
-        (the CAE halves it twice), widths non-empty and positive, the
-        scalar sizes at least 1, ``window`` at least ``subchart_k`` (a
-        chart holds at least one sub-chart), and enough sub-charts per chart
-        for the CNN1D's ceil(len(block_widths) / 2) halving max-pools.
-        """
+    def __post_init__(self) -> None:
         for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
             values = getattr(self, key)
             if not values or any(_expect(v, int, f"model {key} entry") < 1 for v in values):
                 raise ManifestError(f"model {key} needs positive entries, got {values!r}")
             if key.endswith("_hw") and len(values) != 2:
                 raise ManifestError(f"model {key} must be (height, width), got {values!r}")
-        if any(v % 4 for v in self.subchart_hw):
-            raise ManifestError(f"model subchart_hw must be divisible by 4, got {self.subchart_hw}")
-        for key in ("fc_dim", "latent_dim", "window", "subchart_k", "subchart_stride"):
+        for key in ("window", "subchart_k", "subchart_stride"):
             if getattr(self, key) < 1:
                 raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
-        if self.window < self.subchart_k:
-            raise ManifestError(f"model window {self.window} is shorter than subchart_k {self.subchart_k}")
-        need = 2 ** math.ceil(len(self.block_widths) / 2)
-        if self.seq_len < need:
-            raise ManifestError(
-                f"model window {self.window} gives {self.seq_len} sub-charts; "
-                f"{len(self.block_widths)} block widths need at least {need}"
-            )
+        for variant in ARM_MODELS:
+            check_shapes(self.model_config(variant))
+
+    @property
+    def seq_len(self) -> int:
+        """Sub-charts per chart: the length of the sequence the Decomposer's CNN1D reads."""
+        return (self.window - self.subchart_k) // self.subchart_stride + 1
+
+    def model_config(self, variant: str, seed: int = 0) -> ModelConfig:
+        """``variant``'s model config; the subchart arm's input is one sub-chart, ``seq_len`` of them per chart."""
+        hw = self.subchart_hw if variant == "subchart" else self.hist_hw
+        return ModelConfig(
+            variant=variant, input_shape=(3, *hw), block_widths=self.block_widths, fc_dim=self.fc_dim,
+            pattern_shape=(3, *self.pattern_hw), pattern_widths=self.pattern_widths,
+            latent_dim=self.latent_dim, seq_len=self.seq_len, seed=seed,
+        )
 
 
 @dataclass
@@ -154,11 +151,11 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _build_dc(cls, payload, what: str, *list_keys: str):
-    """``cls(**payload)`` with the lists under ``list_keys`` made tuples; each
-    given value must have the type of its field's default."""
+def _build_dc(cls, payload, what: str):
+    """``cls(**payload)`` with every list made a tuple; each given value must
+    have the type of its field's default, and the class checks the rest."""
     payload = {
-        k: tuple(v) if k in list_keys and isinstance(v, list) else v
+        k: tuple(v) if isinstance(v, list) else v
         for k, v in _expect(payload, dict, f"{what} section").items()
     }
     for f in fields(cls):
@@ -166,7 +163,7 @@ def _build_dc(cls, payload, what: str, *list_keys: str):
             _expect(payload[f.name], type(f.default), f"{what} {f.name}")
     try:
         return cls(**payload)
-    except (TypeError, BadParams) as exc:
+    except (TypeError, CandlekitError) as exc:
         raise ManifestError(f"bad {what} section: {exc}") from exc
 
 
@@ -189,11 +186,12 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     Missing, duplicate or path-unsafe dataset and arm names, wrong types
     for the document, its lists, entries, sections, seed, synth ``n``,
     ``csv_path``, ``include_pattern``, ``output_dir`` and every section
-    value (each takes its field default's type), a section value its class
-    rejects, an ``include_pattern`` that disagrees with the arm's model, a ``train``
-    ``seed`` (each arm's is derived from ``master_seed``), a render spec
-    that fails ``RenderSpec.validate`` and model settings that fail
-    ``ModelSettings.validate`` raise ManifestError here rather than mid-run.
+    value (each takes its field default's type, and a list is read as a
+    tuple), a section its class rejects when built (a ``render`` spec that
+    fails ``RenderSpec.validate``, or a ``model`` section that some arm
+    kind's model cannot build from), an ``include_pattern`` that disagrees
+    with the arm's model and a ``train`` ``seed`` (each arm's is derived
+    from ``master_seed``) raise ManifestError here rather than mid-run.
     """
     if "master_seed" not in _expect(doc, dict, "manifest"):
         raise ManifestError("manifest must carry a master_seed")
@@ -253,19 +251,6 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         arms.append(arm)
     if not arms:
         raise ManifestError("manifest declares no arms")
-    render_spec = _build_dc(
-        RenderSpec, doc.get("render", {}), "render",
-        "up_color", "down_color", "wick_color", "background", "annotation_tint",
-    )
-    try:
-        render_spec.validate()
-    except BadSpec as exc:
-        raise ManifestError(f"bad render section: {exc}") from exc
-    model_settings = _build_dc(
-        ModelSettings, doc.get("model", {}), "model",
-        "hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths",
-    )
-    model_settings.validate()
     train = _expect(doc.get("train", {}), dict, "train section")
     if "seed" in train:
         raise ManifestError("train seed cannot be set: each arm's is derived from master_seed")
@@ -277,9 +262,9 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
         arms=arms,
         pattern_params=_build_dc(PatternRuleParams, doc.get("pattern", {}), "pattern"),
         labeler_params=_build_dc(LabelerParams, doc.get("labeler", {}), "labeler"),
-        render_spec=render_spec,
+        render_spec=_build_dc(RenderSpec, doc.get("render", {}), "render"),
         train_config=_build_dc(TrainConfig, train, "train"),
-        model_settings=model_settings,
+        model_settings=_build_dc(ModelSettings, doc.get("model", {}), "model"),
         base_dir=Path(base_dir),
     )
 
@@ -380,19 +365,9 @@ def _members(man: ExperimentManifest, name: str) -> tuple[str, ...]:
 
 
 def _model_config(man: ExperimentManifest, ds_name: str, arm: ArmSpec) -> ModelConfig:
-    """The arm's model config; the subchart arm's input is one sub-chart, ``seq_len`` of them per chart."""
-    ms = man.model_settings
-    return ModelConfig(
-        variant=arm.model,
-        input_shape=(3,) + tuple(ms.subchart_hw if arm.model == "subchart" else ms.hist_hw),
-        block_widths=ms.block_widths,
-        fc_dim=ms.fc_dim,
-        pattern_shape=(3,) + tuple(ms.pattern_hw),
-        pattern_widths=ms.pattern_widths,
-        latent_dim=ms.latent_dim,
-        seq_len=ms.seq_len,
-        seed=derive_seed(man.master_seed, f"model:{ds_name}:{arm.arm_name}"),
-    )
+    """The arm's model config, seeded for its (dataset, arm) pair."""
+    seed = derive_seed(man.master_seed, f"model:{ds_name}:{arm.arm_name}")
+    return man.model_settings.model_config(arm.model, seed)
 
 
 def _train_config(man: ExperimentManifest, ds_name: str, arm: ArmSpec) -> TrainConfig:

@@ -249,7 +249,8 @@ def synth_series(
     *,
     symbol: str | None = None,
 ) -> Series:
-    """Deterministic synthetic daily series with timestamps 0..n-1."""
+    """Deterministic synthetic daily series with timestamps 0..n-1; a walk
+    that leaves the positive finite floats raises BadParams naming the candle."""
     if n < 1:
         raise BadParams(f"n must be >= 1, got {n}")
     rng = Rng(seed)
@@ -260,11 +261,13 @@ def synth_series(
         z = rng.normal()
         u_up = rng.uniform()
         u_dn = rng.uniform()
-        close = prev * math.exp(params.drift + params.volatility * z)
-        opn = prev
-        high = max(opn, close) * (1.0 + params.wick_frac * u_up)
-        low = min(opn, close) * (1.0 - params.wick_frac * u_dn)
-        candles.append(Candle(timestamp=t, open=opn, high=high, low=low, close=close))
+        try:
+            close = prev * math.exp(params.drift + params.volatility * z)
+            high = max(prev, close) * (1.0 + params.wick_frac * u_up)
+            low = min(prev, close) * (1.0 - params.wick_frac * u_dn)
+            candles.append(Candle(timestamp=t, open=prev, high=high, low=low, close=close))
+        except (OverflowError, BadRow) as exc:  # the walk left the positive finite floats
+            raise BadParams(f"synthetic candle {t} is out of float range: {exc}") from exc
         prev = close
     return Series(symbol=name, candles=tuple(candles))
 

@@ -2,7 +2,10 @@
 
 Every arm's model is a :class:`Model`, which :func:`build_model`,
 :func:`train` and :func:`predict` handle alike; ``forward`` takes a tuple of
-arrays, one per input stream.
+arrays, one per input stream. Each model class declares its layers once,
+in ``stacks(cfg)``: one (layer specs, input shape, seed tag) entry per
+``Sequential``, in checkpoint order. :func:`check_shapes` walks those
+stacks without building weights, so a config can be checked before use.
 
 MiniCNN is B blocks of [Conv3x3, ReLU, Conv3x3, ReLU, MaxPool2x2] with the
 given channel widths, then Flatten -> Dense -> ReLU -> Dense(1) -> Sigmoid;
@@ -33,6 +36,7 @@ import numpy as np
 from .errors import (
     BadParams,
     EmptyPartition,
+    InvalidShape,
     LengthMismatch,
     ShapeMismatch,
 )
@@ -80,7 +84,8 @@ class ModelConfig:
         if not self.block_widths or not self.pattern_widths:
             raise BadParams("block widths must be nonempty")
         if self.fc_dim < 1 or self.latent_dim < 1 or self.seq_len < 1:
-            raise BadParams("fc_dim, latent_dim, seq_len must be >= 1")
+            raise BadParams(f"fc_dim, latent_dim, seq_len must be >= 1, got "
+                            f"{self.fc_dim}, {self.latent_dim}, {self.seq_len}")
 
 
 @dataclass(frozen=True)
@@ -131,16 +136,17 @@ class SubchartDataset(TrainingSet):
         return self.inputs
 
 
-def _tower_specs(in_ch: int, widths: tuple[int, ...]) -> list:
+def _tower_specs(in_shape: tuple[int, ...], widths: tuple[int, ...]) -> tuple[list, int]:
+    """A conv tower's layers over ``in_shape`` and its flat output size."""
     specs: list = []
-    c = in_ch
+    c = in_shape[0]
     for w in widths:
         specs.extend(
             [Conv2D(c, w, 3, 1, 1), ReLU(), Conv2D(w, w, 3, 1, 1), ReLU(), MaxPool2D(2, 2)]
         )
         c = w
     specs.append(Flatten())
-    return specs
+    return specs, _chain_shape(specs, in_shape)[0]
 
 
 def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,19 +177,19 @@ class Model:
 
 
 class TowerModel(Model):
-    """One ``Sequential`` tower per input stream, plus an optional head.
+    """One ``Sequential`` per entry of the class's ``stacks(cfg)``: the first
+    ``streams`` are towers, one per input stream, and any further one is the head.
 
     A single-unit output comes back as ``(N,)``. Checkpoint order is the
     towers in turn, then the head.
     """
 
-    def __init__(self, cfg: ModelConfig, towers: tuple[Sequential, ...],
-                 head: Sequential | None = None) -> None:
+    def __init__(self, cfg: ModelConfig) -> None:
         self.cfg = cfg
-        self.towers = towers
-        self.head = head
-        self.parts = towers if head is None else towers + (head,)
-        self.streams = len(towers)
+        self.parts = tuple(Sequential(specs, shape, derive_seed(cfg.seed, tag))
+                           for specs, shape, tag in self.stacks(cfg))
+        self.towers = self.parts[: self.streams]
+        self.head = self.parts[self.streams] if len(self.parts) > self.streams else None
         self.output_shape = self.parts[-1].output_shape
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
@@ -219,58 +225,50 @@ def _dense_head(n_in: int, fc_dim: int) -> list:
 class MiniCNN(TowerModel):
     variant = "mini_cnn"
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        tower = _tower_specs(cfg.input_shape[0], cfg.block_widths)
-        flat = _chain_shape(tower, cfg.input_shape)[0]
-        net = Sequential(tower + _dense_head(flat, cfg.fc_dim), cfg.input_shape,
-                         derive_seed(cfg.seed, "mini_cnn"))
-        super().__init__(cfg, (net,))
+    @staticmethod
+    def stacks(cfg: ModelConfig) -> list:
+        tower, flat = _tower_specs(cfg.input_shape, cfg.block_widths)
+        return [(tower + _dense_head(flat, cfg.fc_dim), cfg.input_shape, "mini_cnn")]
 
 
 class TwoStream(TowerModel):
     variant = "two_stream"
+    streams = 2
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        hist = Sequential(
-            _tower_specs(cfg.input_shape[0], cfg.block_widths),
-            cfg.input_shape,
-            derive_seed(cfg.seed, "two_stream.hist"),
-        )
-        pattern = Sequential(
-            _tower_specs(cfg.pattern_shape[0], cfg.pattern_widths),
-            cfg.pattern_shape,
-            derive_seed(cfg.seed, "two_stream.pattern"),
-        )
-        fused = hist.output_shape[0] + pattern.output_shape[0]
-        head = Sequential(_dense_head(fused, cfg.fc_dim), (fused,), derive_seed(cfg.seed, "two_stream.head"))
-        super().__init__(cfg, (hist, pattern), head)
+    @staticmethod
+    def stacks(cfg: ModelConfig) -> list:
+        hist, n_hist = _tower_specs(cfg.input_shape, cfg.block_widths)
+        pattern, n_pattern = _tower_specs(cfg.pattern_shape, cfg.pattern_widths)
+        fused = n_hist + n_pattern
+        return [
+            (hist, cfg.input_shape, "two_stream.hist"),
+            (pattern, cfg.pattern_shape, "two_stream.pattern"),
+            (_dense_head(fused, cfg.fc_dim), (fused,), "two_stream.head"),
+        ]
 
 
 class CAEModel(TowerModel):
-    def __init__(self, cfg: ModelConfig) -> None:
+    @staticmethod
+    def stacks(cfg: ModelConfig) -> list:
         c, h, w = cfg.input_shape
         w1, w2 = cfg.block_widths[0], cfg.block_widths[min(1, len(cfg.block_widths) - 1)]
+        flat = w2 * (h // 4) * (w // 4)
         enc = [
             Conv2D(c, w1, 3, 1, 1), ReLU(), MaxPool2D(2, 2),
             Conv2D(w1, w2, 3, 1, 1), ReLU(), MaxPool2D(2, 2),
-            Flatten(),
+            Flatten(), Dense(flat, cfg.latent_dim),
         ]
-        bottleneck_hw = (w2, h // 4, w // 4)
-        flat = w2 * (h // 4) * (w // 4)
-        enc.append(Dense(flat, cfg.latent_dim))
-        encoder = Sequential(enc, cfg.input_shape, derive_seed(cfg.seed, "cae.enc"))
         dec = [
-            Dense(cfg.latent_dim, flat), ReLU(), Reshape(bottleneck_hw),
+            Dense(cfg.latent_dim, flat), ReLU(), Reshape((w2, h // 4, w // 4)),
             NearestUpsample2D(2), Conv2D(w2, w1, 3, 1, 1), ReLU(),
             NearestUpsample2D(2), Conv2D(w1, c, 3, 1, 1), Sigmoid(),
         ]
-        decoder = Sequential(dec, (cfg.latent_dim,), derive_seed(cfg.seed, "cae.dec"))
-        if decoder.output_shape != cfg.input_shape:
+        out = _chain_shape(dec, (cfg.latent_dim,))
+        if out != cfg.input_shape:
             raise ShapeMismatch(
-                f"decoder reproduces {decoder.output_shape}, input is {cfg.input_shape}; "
-                "height/width must be divisible by 4"
+                f"decoder reproduces {out}, input is {cfg.input_shape}; height/width must be divisible by 4"
             )
-        super().__init__(cfg, (encoder,), decoder)
+        return [(enc, cfg.input_shape, "cae.enc"), (dec, (cfg.latent_dim,), "cae.dec")]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([self.towers[0].predict(c) for (c,) in _chunks((x,))], axis=0)
@@ -279,19 +277,16 @@ class CAEModel(TowerModel):
 class CNN1DModel(TowerModel):
     variant = "cnn1d"
 
-    def __init__(self, cfg: ModelConfig) -> None:
-        n_blocks = math.ceil(len(cfg.block_widths) / 2)
-        widths = cfg.block_widths[:n_blocks]
+    @staticmethod
+    def stacks(cfg: ModelConfig) -> list:
         specs: list = []
         c = cfg.latent_dim
-        for w in widths:
+        for w in cfg.block_widths[: math.ceil(len(cfg.block_widths) / 2)]:
             specs.extend([Conv1D(c, w, 3, 1, 1), ReLU(), MaxPool1D(2, 2)])
             c = w
         specs.append(Flatten())
         flat = _chain_shape(specs, (cfg.latent_dim, cfg.seq_len))[0]
-        specs.extend([Dense(flat, 1), Sigmoid()])
-        net = Sequential(specs, (cfg.latent_dim, cfg.seq_len), derive_seed(cfg.seed, "cnn1d"))
-        super().__init__(cfg, (net,))
+        return [(specs + [Dense(flat, 1), Sigmoid()], (cfg.latent_dim, cfg.seq_len), "cnn1d")]
 
 
 class Decomposer(Model):
@@ -302,6 +297,10 @@ class Decomposer(Model):
     """
 
     variant = "subchart"
+
+    @staticmethod
+    def stacks(cfg: ModelConfig) -> list:
+        return CAEModel.stacks(cfg) + CNN1DModel.stacks(cfg)
 
     def __init__(self, cfg: ModelConfig) -> None:
         self.cfg = cfg
@@ -325,9 +324,21 @@ def _chunks(arrays: tuple[np.ndarray, ...]):
         yield tuple(x[i : i + _PREDICT_CHUNK] for x in arrays)
 
 
+_CLASSES = {cls.variant: cls for cls in (MiniCNN, TwoStream, Decomposer)}
+
+
 def build_model(cfg: ModelConfig) -> Model:
-    classes = {cls.variant: cls for cls in (MiniCNN, TwoStream, Decomposer)}
-    return classes[cfg.variant](cfg)
+    return _CLASSES[cfg.variant](cfg)
+
+
+def check_shapes(cfg: ModelConfig) -> None:
+    """InvalidShape, naming the variant, unless :func:`build_model` can chain
+    every stack of ``cfg``'s model; builds no weights."""
+    try:
+        for specs, shape, _tag in _CLASSES[cfg.variant].stacks(cfg):
+            _chain_shape(specs, shape)
+    except (InvalidShape, ShapeMismatch) as exc:
+        raise InvalidShape(f"{cfg.variant} model: {exc}") from exc
 
 
 # --- evaluation -----------------------------------------------------------

@@ -60,6 +60,9 @@ class RenderSpec:
     background: RGB = (255, 255, 255)
     annotation_tint: RGB = (255, 235, 160)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.candle_px < 3 or self.candle_px % 2 == 0:
             raise BadSpec(f"candle_px must be odd and >= 3, got {self.candle_px}")
@@ -155,7 +158,6 @@ def _render(candles: tuple[Candle, ...], spec: RenderSpec, background: RGB) -> R
 
 def render_window(window: CandleWindow, spec: RenderSpec = RenderSpec()) -> RasterImage:
     """History chart of a candle window on the plain background."""
-    spec.validate()
     if len(window.candles) == 0:
         raise EmptyWindow("cannot render an empty window")
     return _render(window.candles, spec, spec.background)
@@ -169,7 +171,6 @@ def render_pattern(
     The crop gets its own price scale over just those candles; geometry is
     otherwise identical to :func:`render_window`.
     """
-    spec.validate()
     if len(window.candles) < match.span:
         raise SpanMismatch(
             f"window of {len(window.candles)} candles cannot hold span {match.span}"

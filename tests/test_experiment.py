@@ -2,6 +2,7 @@ import importlib
 import json
 import re
 import shutil
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from candlekit.errors import (
 )
 from candlekit.experiment import (
     ARM_MODELS,
+    ModelSettings,
     _model_config,
     build_dataset,
     load_manifest,
@@ -35,7 +37,7 @@ from candlekit.experiment import (
     render_report,
     run_experiment,
 )
-from candlekit.models import build_model
+from candlekit.models import ModelConfig, build_model
 from candlekit.nn import arrays_to_bytes, load_arrays
 from candlekit.market_data import synth_series, window, write_csv
 from candlekit.patterns import Direction, PatternKind, PatternMatch
@@ -181,6 +183,8 @@ class TestManifest:
         {"render": {"up_color": [0, 168.0, 0]}},
         {"pattern": {"doji_body_frac": float("nan")}},
         {"datasets": [{"name": "a", "synth": {"n": 50, "volatility": float("inf")}}]},
+        {"model": {"hist_hw": [4, 4]}},
+        {"model": {"pattern_hw": [2, 2]}},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
@@ -192,11 +196,54 @@ class TestManifest:
         "two_stream-without-pattern", "mini_cnn-with-pattern", "train-seed",
         "epochs-float", "candle_px-float", "trend_lookback-float", "horizon-float",
         "lr-negative", "lr-nan", "epochs-bool", "chronological-str", "color-float",
-        "doji_body_frac-nan", "volatility-inf",
+        "doji_body_frac-nan", "volatility-inf", "hist_hw-too-small-for-blocks",
+        "pattern_hw-too-small-for-blocks",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
             manifest(tmp_path, **override)
+
+    @settings(max_examples=150, deadline=None)
+    @given(section=st.fixed_dictionaries({}, optional={
+        "hist_hw": st.lists(st.integers(1, 24), min_size=2, max_size=2),
+        "pattern_hw": st.lists(st.integers(1, 12), min_size=2, max_size=2),
+        "subchart_hw": st.lists(st.integers(1, 12), min_size=2, max_size=2),
+        "block_widths": st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        "pattern_widths": st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        "fc_dim": st.integers(1, 4),
+        "latent_dim": st.integers(1, 4),
+        "window": st.integers(1, 12),
+        "subchart_k": st.integers(1, 5),
+        "subchart_stride": st.integers(1, 3),
+    }))
+    def test_model_section_loads_iff_every_arm_kind_builds(self, section):
+        # Each arm kind's config is written out here, apart from _model_config,
+        # since a section that fails to load gives no manifest to read it from.
+        # BASE_DOC's small values stand in for keys the section lacks, to keep
+        # weight initialisation quick.
+        section = {**BASE_DOC["model"], **section}
+        ms = {**asdict(ModelSettings()), **section}
+        seq_len = (ms["window"] - ms["subchart_k"]) // ms["subchart_stride"] + 1
+        try:
+            for kind in ARM_MODELS:
+                build_model(ModelConfig(
+                    variant=kind, input_shape=(3, *ms["subchart_hw" if kind == "subchart" else "hist_hw"]),
+                    block_widths=tuple(ms["block_widths"]), fc_dim=ms["fc_dim"],
+                    pattern_shape=(3, *ms["pattern_hw"]), pattern_widths=tuple(ms["pattern_widths"]),
+                    latent_dim=ms["latent_dim"], seq_len=seq_len,
+                ))
+            builds = True
+        except CandlekitError:
+            builds = False
+        try:
+            arms = [{"arm_name": m, "model": m} for m in ARM_MODELS]
+            man = manifest_from_dict(dict(BASE_DOC, model=section, arms=arms))
+        except ManifestError:
+            assert not builds
+        else:
+            assert builds
+            for arm in man.arms:
+                build_model(_model_config(man, "alpha", arm))
 
     def test_include_pattern_follows_the_model(self, tmp_path):
         man = manifest(tmp_path, arms=[{"arm_name": m, "model": m} for m in ARM_MODELS])
@@ -384,8 +431,9 @@ class TestAssembly:
         ("path-not-str", ManifestError),
         ("end_index-bool", ManifestError),
         ("path-nul", SourceNotFound),
+        ("strength-unknown", ManifestError),
     ], ids=["not-json", "not-object", "missing-key", "missing-ppm", "path-not-str",
-            "end_index-bool", "path-nul"])
+            "end_index-bool", "path-nul", "strength-unknown"])
     def test_bad_dataset_dir_fails_both_assemblers(self, tmp_path, damage, error):
         man = manifest(tmp_path)
         ddir = build_dataset(man, "alpha")
@@ -394,10 +442,11 @@ class TestAssembly:
         row = json.loads(lines[0])
         if damage == "missing-ppm":
             (ddir / row["history_image_path"]).unlink()
-        elif damage in ("path-not-str", "end_index-bool", "path-nul"):
+        elif damage in ("path-not-str", "end_index-bool", "path-nul", "strength-unknown"):
             row.update({"path-not-str": {"history_image_path": None},
                         "end_index-bool": {"end_index": True},
-                        "path-nul": {"history_image_path": "history/\u0000.ppm"}}[damage])
+                        "path-nul": {"history_image_path": "history/\u0000.ppm"},
+                        "strength-unknown": {"strength": "STRONG"}}[damage])
             lines[0] = json.dumps(row)
             path.write_text("\n".join(lines) + "\n")
         else:
@@ -662,17 +711,27 @@ class TestCli:
         ["detect", "--csv", "undecodable.csv"],
         ["report", "--report-json", "keyless.json"],
         ["build-dataset", "--manifest", "nul_csv.json"],
+        ["build-dataset", "--manifest", "drift_overflow.json"],
+        ["build-dataset", "--manifest", "volatility_overflow.json"],
+        ["experiment", "--manifest", "small_hist.json"],
     ], ids=[
         "csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad",
-        "csv-undecodable", "report-keyless", "csv-path-nul",
+        "csv-undecodable", "report-keyless", "csv-path-nul", "synth-drift-overflow",
+        "synth-volatility-overflow", "hist_hw-too-small-for-blocks",
     ])
     def test_file_input_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         # missing files, a file that is not JSON, a CSV with a byte that is not
-        # UTF-8, a report without the keys the renderer reads, and a csv_path
-        # holding a NUL byte
+        # UTF-8, a report without the keys the renderer reads, a csv_path
+        # holding a NUL byte, synth values whose walk overflows a float, and a
+        # model section that the CNN arms cannot build from
         monkeypatch.chdir(tmp_path)
         nul_doc = dict(BASE_DOC, datasets=[{"name": "a", "csv_path": "a\u0000.csv"}])
         (tmp_path / "nul_csv.json").write_text(json.dumps(nul_doc))
+        # dataset "x" draws a positive first shock, so its exp overflows rather than underflows
+        for name, key, value in (("a", "drift", 1000.0), ("x", "volatility", 1e6)):
+            doc = dict(BASE_DOC, datasets=[{"name": name, "synth": {"n": 800, key: value}}])
+            (tmp_path / f"{key}_overflow.json").write_text(json.dumps(doc))
+        (tmp_path / "small_hist.json").write_text(json.dumps(dict(BASE_DOC, model={"hist_hw": [4, 4]})))
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "undecodable.csv").write_bytes(
             b"Date,Open,High,Low,Close\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1,2,0.5,\xff\n"
@@ -680,6 +739,7 @@ class TestCli:
         (tmp_path / "keyless.json").write_text('{"rows": [{}], "environment": {}}')
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()  # no dataset was written
 
     @pytest.mark.parametrize("argv", [
         ["render", "--synth", "100", "--out", "missing/x.ppm"],

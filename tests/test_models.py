@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from candlekit.errors import (
     LengthMismatch,
 )
 from candlekit.models import _PREDICT_CHUNK, CAEModel, _fit
-from candlekit.nn import loss_mse
+from candlekit.nn import arrays_to_bytes, loss_mse
 from candlekit.rng import Rng
 
 from oracles import oracle_metrics
@@ -87,6 +88,17 @@ class TestBuildModel:
     def test_bad_variant(self):
         with pytest.raises(BadParams):
             ModelConfig(variant="perceptron")
+
+    @pytest.mark.parametrize("variant, digest", [
+        ("mini_cnn", "3c64c56a21e2a74a078401875dfdb5e4495b3218f3cf4366a8c5cad8e36ffa28"),
+        ("two_stream", "5b284c7e08551fafa9b119053dff7396162aa44156d063c8681a8fbd77470130"),
+        ("subchart", "84a6081a99f7ee0cf51ca1cf16b932d0a001d6c0827e4c478ffec74d334ee17f"),
+    ])
+    def test_initial_weights_are_pinned(self, variant, digest):
+        # Checkpoints of earlier runs load only while stack order, layer
+        # order and seed tags stay as they were.
+        cfg = replace(TS_CFG, variant=variant, fc_dim=8, latent_dim=8, seq_len=8, seed=5)
+        assert hashlib.sha256(arrays_to_bytes(build_model(cfg).arrays())).hexdigest() == digest
 
 
 class TestEvaluate:
