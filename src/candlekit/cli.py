@@ -3,7 +3,8 @@
 Subcommands: build-dataset, detect, render, decompose, train, eval,
 experiment, report. Every subcommand but report accepts --manifest, and
 every one but report and decompose accepts --seed; --seed and --out
-override the manifest's master_seed and output_dir.
+override the manifest's master_seed and output_dir. render --window and
+decompose --k/--stride default to the manifest's (or the default) model section.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .decompose import subcharts
 from .errors import CandlekitError, ManifestError
 from .experiment import (
     ExperimentManifest,
+    ModelSettings,
     _members,
     build_dataset,
     evaluate_checkpoint,
@@ -98,7 +100,8 @@ def _cmd_render(args) -> int:
     spec = man.render_spec if man else RenderSpec()
     series = _series_from_args(args, man)
     end_index = args.end_index if args.end_index is not None else len(series) - 1
-    w = min(args.window, end_index + 1)
+    ms = man.model_settings if man else ModelSettings()
+    w = min(args.window if args.window is not None else ms.window, end_index + 1)
     img = render_window(window(series, end_index, w), spec)
     write_atomic(args.out, write_ppm(img))
     print(args.out)
@@ -111,7 +114,10 @@ def _cmd_decompose(args) -> int:
     img = read_ppm(read_input(args.image, "image", Path.read_bytes))
     out_dir = args.out_dir or args.image.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, crop in enumerate(subcharts(img, spec, k=args.k, stride=args.stride)):
+    ms = man.model_settings if man else ModelSettings()
+    k = args.k if args.k is not None else ms.subchart_k
+    stride = args.stride if args.stride is not None else ms.subchart_stride
+    for i, crop in enumerate(subcharts(img, spec, k=k, stride=stride)):
         path = out_dir / f"{args.image.stem}.sub{i}.ppm"
         write_atomic(path, write_ppm(crop))
         print(path)
@@ -189,15 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth", type=int, metavar="N")
     p.add_argument("--symbol")
     p.add_argument("--end-index", type=int, help="window end (default: last candle)")
-    p.add_argument("--window", type=int, default=30)
+    p.add_argument("--window", type=int, help="candles drawn (default: the model's window)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("decompose", help="cut a chart PPM into k-candle sub-charts")
     _add_common(p, seed=False)
     p.add_argument("--image", type=Path, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--k", type=int, help="candles per sub-chart (default: the model's subchart_k)")
+    p.add_argument("--stride", type=int, help="sub-chart step (default: the model's subchart_stride)")
     p.add_argument("--out-dir", type=Path)
     p.set_defaults(fn=_cmd_decompose)
 

@@ -19,13 +19,16 @@ output directories still produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import platform
 import re
 import shutil
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -56,29 +59,71 @@ from .patterns import PatternRuleParams
 from .raster import RenderSpec, render_pattern, render_window, write_ppm
 from .rng import derive_seed
 
+# Dataset and arm names become path components (``datasets/<name>``,
+# ``checkpoints/<dataset>__<arm>.ckpt``): no separator, no ``.``/``..``, and
+# no leading dot, so a dataset cannot be another's temp dir.
+_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
+
+
+def _check_name(name, what: str) -> None:
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise ManifestError(
+            f"{what} name {name!r} must be letters, digits, '_', '-' or '.', not led by '.'"
+        )
+
+
+@dataclass(frozen=True)
+class SynthSpec(SynthParams):
+    """A synthetic source: ``n`` (at least 1) candles of the walk its :class:`SynthParams` fields describe."""
+
+    n: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.n < 1:
+            raise ManifestError(f"synth spec needs n >= 1, got {self.n}")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """A path-safe name and exactly one source, checked when built: a CSV file (relative to
+    the manifest's directory), a synthetic walk, or a non-empty list of datasets to merge."""
+
     name: str
     csv_path: str | None = None
-    synth: SynthParams | None = None
-    synth_n: int = 0
-    members: tuple[str, ...] = ()
+    synth: SynthSpec | None = None
+    members: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        _check_name(self.name, "dataset")
+        if sum(v is not None for v in (self.csv_path, self.synth, self.members)) != 1:
+            raise ManifestError(f"dataset {self.name!r} must have exactly one of csv_path/synth/members")
+        if self.members == ():
+            raise ManifestError(f"merge dataset {self.name!r} has no members")
 
     @property
     def is_merge(self) -> bool:
-        return bool(self.members)
+        return self.members is not None
 
 
 @dataclass(frozen=True)
 class ArmSpec:
-    arm_name: str
-    model: str
+    """A path-safe name and a known model kind, checked when built; ``include_pattern``
+    follows the model (only two_stream reads the pattern stream), and a given one must agree."""
 
-    @property
-    def include_pattern(self) -> bool:
-        """Whether the arm's model reads the pattern stream: only two_stream does."""
-        return self.model == "two_stream"
+    arm_name: str
+    model: str = "mini_cnn"
+    include_pattern: bool | None = None
+
+    def __post_init__(self) -> None:
+        _check_name(self.arm_name, "arm")
+        if self.model not in ARM_MODELS:
+            raise ManifestError(f"arm model must be one of {ARM_MODELS}, got {self.model!r}")
+        reads = self.model == "two_stream"
+        if self.include_pattern not in (None, reads):
+            raise ManifestError(f"arm {self.arm_name!r} include_pattern must be {reads} "
+                                f"for model {self.model!r}: only two_stream reads the pattern stream")
+        object.__setattr__(self, "include_pattern", reads)
 
 
 @dataclass(frozen=True)
@@ -102,7 +147,7 @@ class ModelSettings:
     def __post_init__(self) -> None:
         for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
             values = getattr(self, key)
-            if not values or any(_expect(v, int, f"model {key} entry") < 1 for v in values):
+            if not values or min(values) < 1:
                 raise ManifestError(f"model {key} needs positive entries, got {values!r}")
             if key.endswith("_hw") and len(values) != 2:
                 raise ManifestError(f"model {key} must be (height, width), got {values!r}")
@@ -129,16 +174,28 @@ class ModelSettings:
 
 @dataclass
 class ExperimentManifest:
+    """Checked when built: datasets and arms, uniquely named, and merges of concrete datasets
+    only. A ``key`` in a field's metadata is its JSON key; ``base_dir`` is the file's directory."""
+
     master_seed: int
-    output_dir: str
     datasets: list[DatasetSpec]
     arms: list[ArmSpec]
-    pattern_params: PatternRuleParams = field(default_factory=PatternRuleParams)
-    labeler_params: LabelerParams = field(default_factory=LabelerParams)
-    render_spec: RenderSpec = field(default_factory=RenderSpec)
-    train_config: TrainConfig = field(default_factory=TrainConfig)
-    model_settings: ModelSettings = field(default_factory=ModelSettings)
-    base_dir: Path = Path(".")
+    output_dir: str = "out"
+    pattern_params: PatternRuleParams = field(default_factory=PatternRuleParams, metadata={"key": "pattern"})
+    labeler_params: LabelerParams = field(default_factory=LabelerParams, metadata={"key": "labeler"})
+    render_spec: RenderSpec = field(default_factory=RenderSpec, metadata={"key": "render"})
+    train_config: TrainConfig = field(default_factory=TrainConfig, metadata={"key": "train"})
+    model_settings: ModelSettings = field(default_factory=ModelSettings, metadata={"key": "model"})
+    base_dir: Path = field(default=Path("."), init=False)
+
+    def __post_init__(self) -> None:
+        names = {"dataset": [d.name for d in self.datasets], "arm": [a.arm_name for a in self.arms]}
+        for what, given in names.items():
+            if not given or len(set(given)) != len(given):
+                raise ManifestError(f"a manifest needs {what}s, uniquely named, got {given}")
+        concrete = {d.name for d in self.datasets if not d.is_merge}
+        if unknown := [m for d in self.datasets for m in d.members or () if m not in concrete]:
+            raise ManifestError(f"merges must name concrete datasets, got {unknown}")
 
 
 def _expect(value, kind: type, what: str):
@@ -151,128 +208,65 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _build_dc(cls, payload, what: str):
-    """``cls(**payload)`` with every list made a tuple; each given value must
-    have the type of its field's default, and the class checks the rest."""
-    payload = {
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in _expect(payload, dict, f"{what} section").items()
-    }
-    for f in fields(cls):
-        if f.name in payload:
-            _expect(payload[f.name], type(f.default), f"{what} {f.name}")
+_hints = functools.cache(get_type_hints)
+
+
+def _value(kind, value, what: str):
+    """``value`` read as a ``kind``: a dataclass, a tuple or list of one item kind, or an
+    ``_expect`` kind. ``X | None`` reads as ``X``: a field may be left out, never null."""
+    if value is None:
+        raise ManifestError(f"{what} cannot be null")
+    if get_origin(kind) is UnionType:
+        kind = next(k for k in get_args(kind) if k is not type(None))
+    if is_dataclass(kind):
+        return _read(kind, value, what)
+    if get_origin(kind) in (tuple, list):
+        items = [_value(get_args(kind)[0], v, f"{what}[{i}]")
+                 for i, v in enumerate(_expect(value, list, what))]
+        return get_origin(kind)(items)
+    return _expect(value, kind, what)
+
+
+def _read(cls, obj, what: str):
+    """``cls`` from the JSON object ``obj``; an unknown or missing key, a value of the wrong
+    kind or one the class rejects raises ManifestError."""
+    keys = {f.metadata.get("key", f.name): f.name for f in fields(cls) if f.init}
+    for k in _expect(obj, dict, what):
+        if k not in keys:
+            raise ManifestError(f"{what} has unknown key {k!r}; known keys: {', '.join(keys)}")
+    values = {keys[k]: _value(_hints(cls)[keys[k]], v, f"{what}.{k}") for k, v in obj.items()}
     try:
-        return cls(**payload)
+        return cls(**values)
     except (TypeError, CandlekitError) as exc:
-        raise ManifestError(f"bad {what} section: {exc}") from exc
-
-
-# Dataset and arm names become path components (``datasets/<name>``,
-# ``checkpoints/<dataset>__<arm>.ckpt``): no separator, no ``.``/``..``, and
-# no leading dot, so a dataset cannot be another's temp dir.
-_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
-
-
-def _check_name(name, what: str) -> None:
-    if not isinstance(name, str) or not _NAME.fullmatch(name):
-        raise ManifestError(
-            f"{what} name {name!r} must be letters, digits, '_', '-' or '.', not led by '.'"
-        )
+        raise ManifestError(f"bad {what}: {exc}") from exc
 
 
 def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManifest:
-    """Manifest from a parsed JSON document.
+    """Manifest from a parsed JSON document, one :func:`_read` for every level.
 
-    Missing, duplicate or path-unsafe dataset and arm names, wrong types
-    for the document, its lists, entries, sections, seed, synth ``n``,
-    ``csv_path``, ``include_pattern``, ``output_dir`` and every section
-    value (each takes its field default's type, and a list is read as a
-    tuple), a section its class rejects when built (a ``render`` spec that
-    fails ``RenderSpec.validate``, or a ``model`` section that some arm
-    kind's model cannot build from), an ``include_pattern`` that disagrees
-    with the arm's model and a ``train`` ``seed`` (each arm's is derived
-    from ``master_seed``) raise ManifestError here rather than mid-run.
+    An unknown key, a null, a wrong JSON type, a missing required key, an
+    entry or section its class rejects when built, and a ``train`` ``seed``
+    (each arm's is derived from ``master_seed``) raise ManifestError here rather than mid-run.
     """
-    if "master_seed" not in _expect(doc, dict, "manifest"):
-        raise ManifestError("manifest must carry a master_seed")
-    datasets: list[DatasetSpec] = []
-    names: set[str] = set()
-    for entry in _expect(doc.get("datasets", []), list, "datasets"):
-        name = _expect(entry, dict, "dataset entry").get("name")
-        _check_name(name, "dataset")
-        if name in names:
-            raise ManifestError(f"dataset entries need unique names, got {name!r}")
-        names.add(name)
-        kinds = [k for k in ("csv_path", "synth", "members") if k in entry]
-        if len(kinds) != 1:
-            raise ManifestError(
-                f"dataset {name!r} must have exactly one of csv_path/synth/members"
-            )
-        if "csv_path" in entry:
-            csv_path = _expect(entry["csv_path"], str, f"dataset {name!r} csv_path")
-            datasets.append(DatasetSpec(name=name, csv_path=csv_path))
-        elif "synth" in entry:
-            synth = dict(_expect(entry["synth"], dict, f"dataset {name!r} synth"))
-            n = synth.pop("n", 0)
-            if _expect(n, int, f"dataset {name!r} synth n") < 1:
-                raise ManifestError(f"dataset {name!r} synth spec needs n >= 1")
-            datasets.append(
-                DatasetSpec(name=name, synth=_build_dc(SynthParams, synth, name), synth_n=n)
-            )
-        else:
-            listed = _expect(entry["members"], list, f"merge dataset {name!r} members")
-            members = tuple(_expect(m, str, f"merge dataset {name!r} member") for m in listed)
-            if not members:
-                raise ManifestError(f"merge dataset {name!r} has no members")
-            datasets.append(DatasetSpec(name=name, members=members))
-    if not datasets:
-        raise ManifestError("manifest declares no datasets")
-    concrete = {d.name for d in datasets if not d.is_merge}
-    for d in datasets:
-        for m in d.members:
-            if m not in concrete:
-                raise ManifestError(f"merge {d.name!r} references unknown member {m!r}")
-
-    arms: list[ArmSpec] = []
-    arm_names: set[str] = set()
-    for entry in _expect(doc.get("arms", []), list, "arms"):
-        _expect(entry, dict, "arm entry")
-        arm = ArmSpec(arm_name=entry.get("arm_name", ""), model=entry.get("model", "mini_cnn"))
-        _check_name(arm.arm_name, "arm")
-        if arm.arm_name in arm_names:
-            raise ManifestError(f"arms need unique names, got {arm.arm_name!r}")
-        if arm.model not in ARM_MODELS:
-            raise ManifestError(f"arm model must be one of {ARM_MODELS}, got {arm.model!r}")
-        given = _expect(entry.get("include_pattern", arm.include_pattern), bool, "arm include_pattern")
-        if given != arm.include_pattern:
-            raise ManifestError(f"arm {arm.arm_name!r} include_pattern must be {arm.include_pattern} "
-                                f"for model {arm.model!r}: only two_stream reads the pattern stream")
-        arm_names.add(arm.arm_name)
-        arms.append(arm)
-    if not arms:
-        raise ManifestError("manifest declares no arms")
-    train = _expect(doc.get("train", {}), dict, "train section")
-    if "seed" in train:
+    man = _read(ExperimentManifest, doc, "manifest")
+    if "seed" in doc.get("train", {}):
         raise ManifestError("train seed cannot be set: each arm's is derived from master_seed")
+    man.base_dir = Path(base_dir)
+    return man
 
-    return ExperimentManifest(
-        master_seed=_expect(doc["master_seed"], int, "master_seed"),
-        output_dir=_expect(doc.get("output_dir", "out"), str, "output_dir"),
-        datasets=datasets,
-        arms=arms,
-        pattern_params=_build_dc(PatternRuleParams, doc.get("pattern", {}), "pattern"),
-        labeler_params=_build_dc(LabelerParams, doc.get("labeler", {}), "labeler"),
-        render_spec=_build_dc(RenderSpec, doc.get("render", {}), "render"),
-        train_config=_build_dc(TrainConfig, train, "train"),
-        model_settings=_build_dc(ModelSettings, doc.get("model", {}), "model"),
-        base_dir=Path(base_dir),
-    )
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error rather than the last one kept."""
+    keys = [k for k, _v in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"an object repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
 
 
 def _read_json(path: str | Path, what: str):
     try:
-        return json.loads(read_input(path, what, Path.read_bytes))
-    except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, or nested too deep
+        return json.loads(read_input(path, what, Path.read_bytes), object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a repeated key, or nested too deep
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -282,12 +276,10 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
 
 def _resolve_series(man: ExperimentManifest, ds: DatasetSpec) -> Series:
     if ds.csv_path is not None:
-        path = Path(ds.csv_path)
-        if not path.is_absolute():
-            path = man.base_dir / path
+        path = man.base_dir / ds.csv_path  # an absolute csv_path stays as it is
         return parse_csv(read_input(path, f"csv for dataset {ds.name!r}"), symbol=ds.name)
     seed = derive_seed(man.master_seed, f"dataset:{ds.name}")
-    return synth_series(seed, ds.synth_n, ds.synth, symbol=ds.name)
+    return synth_series(seed, ds.synth.n, ds.synth, symbol=ds.name)
 
 
 _SAFE = re.compile(r"[^A-Za-z0-9_-]+")
@@ -481,13 +473,10 @@ class ExperimentReport:
 def load_report(path: str | Path) -> ExperimentReport:
     """Read back the ``report.json`` that :func:`run_experiment` writes.
 
-    A document :func:`render_report` cannot render (a missing key or a value
-    of the wrong type) raises ManifestError.
+    A document :func:`_read` rejects, or one :func:`render_report` cannot
+    render (a row's key missing, or of the wrong type), raises ManifestError.
     """
-    doc = _read_json(path, "report")
-    if not isinstance(doc, dict) or not {"rows", "environment"} <= doc.keys():
-        raise ManifestError(f"report {path} needs 'rows' and 'environment'")
-    report = ExperimentReport(rows=doc["rows"], environment=doc["environment"])
+    report = _read(ExperimentReport, _read_json(path, "report"), f"report {path}")
     try:
         render_report(report)
     except (KeyError, TypeError, ValueError) as exc:

@@ -28,7 +28,7 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Literal
+from typing import Literal, get_args
 
 from .errors import BadParams, BadRow, MissingColumn, NonMonotonicDates, OutOfRange
 from .rng import Rng
@@ -154,7 +154,10 @@ def parse_csv(
     default; real downloads contain holiday gaps and stray rows).
     Out-of-order dates always raise :class:`NonMonotonicDates`, and text
     the csv module cannot split into rows always raises :class:`BadRow`.
+    Any other ``on_bad_row`` raises :class:`BadParams`.
     """
+    if on_bad_row not in get_args(BadRowPolicy):
+        raise BadParams(f"on_bad_row must be one of {get_args(BadRowPolicy)}, got {on_bad_row!r}")
     reader = _csv_rows(text)
     try:
         header = next(reader)

@@ -2,7 +2,7 @@ import importlib
 import json
 import re
 import shutil
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +37,11 @@ from candlekit.experiment import (
     render_report,
     run_experiment,
 )
-from candlekit.models import ModelConfig, build_model
+from candlekit.labeling import LabelerParams
+from candlekit.models import ModelConfig, TrainConfig, build_model
 from candlekit.nn import arrays_to_bytes, load_arrays
-from candlekit.market_data import synth_series, window, write_csv
-from candlekit.patterns import Direction, PatternKind, PatternMatch
+from candlekit.market_data import SynthParams, synth_series, window, write_csv
+from candlekit.patterns import Direction, PatternKind, PatternMatch, PatternRuleParams
 from candlekit.raster import (
     RasterImage, RenderSpec, read_ppm, render_pattern, render_window, resize_nearest, write_ppm,
 )
@@ -185,6 +186,12 @@ class TestManifest:
         {"datasets": [{"name": "a", "synth": {"n": 50, "volatility": float("inf")}}]},
         {"model": {"hist_hw": [4, 4]}},
         {"model": {"pattern_hw": [2, 2]}},
+        {"arms": [{"arm_name": "with_pattern", "modle": "two_stream"}]},
+        {"labler": {"horizon": 3}},
+        {"datasets": [{"name": "a", "synth": {"n": 50}, "memebrs": ["alpha"]}]},
+        {"datasets": [{"name": "a", "synth": {"n": 50}, "csv_path": None}]},
+        {"datasets": [{"name": "a", "synth": {"n": 50}, "members": []}]},
+        {"datasets": [{"name": "a", "synth": {"n": 50}, 1: "x", None: "y"}]},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
@@ -197,7 +204,8 @@ class TestManifest:
         "epochs-float", "candle_px-float", "trend_lookback-float", "horizon-float",
         "lr-negative", "lr-nan", "epochs-bool", "chronological-str", "color-float",
         "doji_body_frac-nan", "volatility-inf", "hist_hw-too-small-for-blocks",
-        "pattern_hw-too-small-for-blocks",
+        "pattern_hw-too-small-for-blocks", "arm-key-typo", "document-key-typo",
+        "dataset-key-typo", "null-value", "synth-with-empty-members", "non-str-keys",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
@@ -244,6 +252,22 @@ class TestManifest:
             assert builds
             for arm in man.arms:
                 build_model(_model_config(man, "alpha", arm))
+
+    def test_readme_schema_states_the_defaults(self):
+        # the JSON block under README's "Manifest schema" loads, and each
+        # section in it holds its class's defaults, as the README says
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("### Manifest schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        man = manifest_from_dict(json.loads(block))
+        assert man.pattern_params == PatternRuleParams()
+        assert man.labeler_params == LabelerParams()
+        assert man.render_spec == RenderSpec()
+        assert man.train_config == TrainConfig()
+        assert man.model_settings == ModelSettings()
+        assert man.output_dir == "out"
+        alpha = man.datasets[0].synth
+        assert alpha.n == 700
+        assert SynthParams(**{f.name: getattr(alpha, f.name) for f in fields(SynthParams)}) == SynthParams()
 
     def test_include_pattern_follows_the_model(self, tmp_path):
         man = manifest(tmp_path, arms=[{"arm_name": m, "model": m} for m in ARM_MODELS])
@@ -591,6 +615,21 @@ class TestCli:
         ) == 0
         assert len(list((tmp_path / "subs").glob("chart.sub*.ppm"))) == 28
 
+    def test_render_and_decompose_default_to_the_model_section(self, tmp_path, capsys):
+        # without --window, --k and --stride the charts and crops follow the
+        # manifest's model section, as the experiment's own do
+        man_path = tmp_path / "man.json"
+        man_path.write_text(json.dumps(
+            dict(BASE_DOC, model={**BASE_DOC["model"], "window": 20, "subchart_k": 4, "subchart_stride": 2})
+        ))
+        out = tmp_path / "chart.ppm"
+        common = ["--manifest", str(man_path)]
+        assert cli_main(["render", *common, "--synth", "60", "--end-index", "40", "--out", str(out)]) == 0
+        man = load_manifest(man_path)
+        assert read_ppm(out.read_bytes()).width_px == man.render_spec.chart_width(20)
+        assert cli_main(["decompose", *common, "--image", str(out), "--out-dir", str(tmp_path / "subs")]) == 0
+        assert len(list((tmp_path / "subs").glob("chart.sub*.ppm"))) == man.model_settings.seq_len == 9
+
     def test_experiment_exit_code_reflects_arm_failures(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["datasets"] = [{"name": "tiny", "synth": {"n": 30}}]
@@ -714,16 +753,25 @@ class TestCli:
         ["build-dataset", "--manifest", "drift_overflow.json"],
         ["build-dataset", "--manifest", "volatility_overflow.json"],
         ["experiment", "--manifest", "small_hist.json"],
+        ["experiment", "--manifest", "repeated_key.json"],
+        ["report", "--report-json", "repeated_report_key.json"],
+        ["experiment", "--manifest", "typo_arm.json"],
+        ["experiment", "--manifest", "typo_dataset.json"],
+        ["experiment", "--manifest", "typo_document.json"],
+        ["experiment", "--manifest", "typo_section.json"],
     ], ids=[
         "csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad",
         "csv-undecodable", "report-keyless", "csv-path-nul", "synth-drift-overflow",
-        "synth-volatility-overflow", "hist_hw-too-small-for-blocks",
+        "synth-volatility-overflow", "hist_hw-too-small-for-blocks", "manifest-repeated-key",
+        "report-repeated-key", "arm-key-typo", "dataset-key-typo", "document-key-typo",
+        "section-key-typo",
     ])
     def test_file_input_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         # missing files, a file that is not JSON, a CSV with a byte that is not
         # UTF-8, a report without the keys the renderer reads, a csv_path
-        # holding a NUL byte, synth values whose walk overflows a float, and a
-        # model section that the CNN arms cannot build from
+        # holding a NUL byte, synth values whose walk overflows a float, a
+        # model section that the CNN arms cannot build from, a JSON object
+        # that repeats a key, and a misspelled key at each level of a manifest
         monkeypatch.chdir(tmp_path)
         nul_doc = dict(BASE_DOC, datasets=[{"name": "a", "csv_path": "a\u0000.csv"}])
         (tmp_path / "nul_csv.json").write_text(json.dumps(nul_doc))
@@ -732,6 +780,20 @@ class TestCli:
             doc = dict(BASE_DOC, datasets=[{"name": name, "synth": {"n": 800, key: value}}])
             (tmp_path / f"{key}_overflow.json").write_text(json.dumps(doc))
         (tmp_path / "small_hist.json").write_text(json.dumps(dict(BASE_DOC, model={"hist_hw": [4, 4]})))
+        # a second "train" object, which json.loads would otherwise let win
+        (tmp_path / "repeated_key.json").write_text(json.dumps(BASE_DOC)[:-1] + ', "train": {"epochs": 30}}')
+        (tmp_path / "repeated_report_key.json").write_text(
+            '{"rows": [{}], "rows": [], "environment": '
+            '{"version": "0", "python": "3", "numpy": "2", "master_seed": 0}}'
+        )
+        ds = BASE_DOC["datasets"][0]
+        for name, doc in (
+            ("arm", dict(BASE_DOC, arms=[{"arm_name": "with_pattern", "modle": "two_stream"}])),
+            ("dataset", dict(BASE_DOC, datasets=[dict(ds, memebrs=["beta"])])),
+            ("document", dict(BASE_DOC, trian={"epochs": 30})),
+            ("section", dict(BASE_DOC, train={"epoch": 30})),
+        ):
+            (tmp_path / f"typo_{name}.json").write_text(json.dumps(doc))
         (tmp_path / "bad.json").write_text("{not json")
         (tmp_path / "undecodable.csv").write_bytes(
             b"Date,Open,High,Low,Close\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1,2,0.5,\xff\n"

@@ -61,6 +61,13 @@ class TestParseCsv:
         with pytest.raises(BadRow):
             parse_csv(text, on_bad_row="strict")
 
+    @pytest.mark.parametrize("policy", ["Strict", "skip", "", None])
+    def test_unknown_policy_is_bad_params(self, policy):
+        # checked before any row is read, so even a clean document fails
+        text = "Date,Open,High,Low,Close\n2017-01-03,100.0,102.0,99.0,101.0\n"
+        with pytest.raises(BadParams):
+            parse_csv(text, on_bad_row=policy)
+
     def test_skip_policy_drops_bad_row(self, caplog):
         text = (
             "Date,Open,High,Low,Close\n"
