@@ -32,12 +32,20 @@ from .fileio import read_input, write_atomic
 from .market_data import Series, parse_csv, synth_series, window
 from .patterns import PatternRuleParams, detect_all
 from .raster import RenderSpec, read_ppm, render_window, write_ppm
+from .rng import MAX_SEED
+
+
+def u64(text: str) -> int:
+    """A seed: an integer in [0, 2^64). argparse names the flag when this raises."""
+    if not 0 <= (seed := int(text)) <= MAX_SEED:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
     p.add_argument("--manifest", type=Path, help="experiment manifest (JSON)")
     if seed:
-        p.add_argument("--seed", type=int, help="override the manifest master seed")
+        p.add_argument("--seed", type=u64, help="override the manifest master seed")
 
 
 def _manifest(args) -> ExperimentManifest | None:
@@ -100,8 +108,12 @@ def _cmd_render(args) -> int:
     spec = man.render_spec if man else RenderSpec()
     series = _series_from_args(args, man)
     end_index = args.end_index if args.end_index is not None else len(series) - 1
+    if not 0 <= end_index < len(series):
+        raise ManifestError(f"--end-index must be in [0, {len(series)}), got {end_index}")
     ms = man.model_settings if man else ModelSettings()
-    w = min(args.window if args.window is not None else ms.window, end_index + 1)
+    w = args.window if args.window is not None else ms.window
+    if not 1 <= w <= end_index + 1:
+        raise ManifestError(f"--window must be in [1, {end_index + 1}] to end at candle {end_index}, got {w}")
     img = render_window(window(series, end_index, w), spec)
     write_atomic(args.out, write_ppm(img))
     print(args.out)

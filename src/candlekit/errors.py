@@ -87,7 +87,7 @@ class InvalidShape(CandlekitError):
 
 
 class NonFiniteValue(CandlekitError):
-    """A NaN or Inf appeared in a forward/backward pass."""
+    """A NaN or Inf in a layer stack's input or output, a loaded weight, or a weight after a training step."""
 
 
 # --- training / evaluation ---

@@ -57,7 +57,7 @@ from .models import (
 from .nn import load_arrays, save_arrays
 from .patterns import PatternRuleParams
 from .raster import RenderSpec, render_pattern, render_window, write_ppm
-from .rng import derive_seed
+from .rng import MAX_SEED, derive_seed
 
 # Dataset and arm names become path components (``datasets/<name>``,
 # ``checkpoints/<dataset>__<arm>.ckpt``): no separator, no ``.``/``..``, and
@@ -174,8 +174,8 @@ class ModelSettings:
 
 @dataclass
 class ExperimentManifest:
-    """Checked when built: datasets and arms, uniquely named, and merges of concrete datasets
-    only. A ``key`` in a field's metadata is its JSON key; ``base_dir`` is the file's directory."""
+    """Checked when built: a u64 master_seed, uniquely named datasets and arms, and merges of concrete
+    datasets only. A ``key`` in a field's metadata is its JSON key; ``base_dir`` is the file's directory."""
 
     master_seed: int
     datasets: list[DatasetSpec]
@@ -189,6 +189,8 @@ class ExperimentManifest:
     base_dir: Path = field(default=Path("."), init=False)
 
     def __post_init__(self) -> None:
+        if not 0 <= self.master_seed <= MAX_SEED:
+            raise ManifestError(f"master_seed must be in [0, 2^64), got {self.master_seed}")
         names = {"dataset": [d.name for d in self.datasets], "arm": [a.arm_name for a in self.arms]}
         for what, given in names.items():
             if not given or len(set(given)) != len(given):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import (
     EmptyPartition,
     InvalidShape,
     LengthMismatch,
+    NonFiniteValue,
     ShapeMismatch,
 )
 from .nn import (
@@ -157,23 +158,15 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Model:
-    """What every arm's model offers: ``forward`` over a tuple of ``streams``
-    input arrays, and ``arrays``/``set_arrays`` over ``parts`` in checkpoint order."""
+    """What every arm's model offers: ``forward`` over a tuple of ``streams`` input arrays, and
+    ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a ``Sequential``."""
 
     streams = 1
 
-    def arrays(self):
-        return [a for part in self.parts for a in part.arrays()]
+    def trainable(self):
+        return [p for part in self.parts for p in part.trainable()]
 
-    def set_arrays(self, arrays) -> None:
-        """Load checkpoint ``arrays`` into ``parts`` in turn, each taking as many as it holds."""
-        counts = [len(part.arrays()) for part in self.parts]
-        if sum(counts) != len(arrays):
-            raise ShapeMismatch(f"expected {sum(counts)} arrays, got {len(arrays)}")
-        start = 0
-        for part, n in zip(self.parts, counts):
-            part.set_arrays(arrays[start : start + n])
-            start += n
+    arrays, set_arrays = Sequential.arrays, Sequential.set_arrays
 
 
 class TowerModel(Model):
@@ -213,9 +206,6 @@ class TowerModel(Model):
         cuts = np.cumsum([t.output_shape[0] for t in self.towers])[:-1]
         for tower, g, cache in zip(self.towers, np.split(grad, cuts, axis=1), caches):
             tower.backward(g, cache, _input_grad=False)  # towers take data
-
-    def trainable(self):
-        return [p for part in self.parts for p in part.trainable()]
 
 
 def _dense_head(n_in: int, fc_dim: int) -> list:
@@ -482,23 +472,9 @@ class TrainReport:
     cae_mse: list[float] = field(default_factory=list)  # a Decomposer's CAE record (see _train_cae)
 
     def to_json(self) -> str:
-        rows = [
-            {
-                "epoch": e.epoch,
-                "train_loss": e.train_loss,
-                "val_accuracy": e.val_accuracy,
-                "val_f1": e.val_f1,
-                "val_auc": e.val_auc,
-            }
-            for e in self.entries
-        ]
-        doc = {
-            "epochs": rows,
-            "n_train": self.n_train,
-            "n_val": self.n_val,
-            "n_test": self.n_test,
-            "cae_mse": self.cae_mse,
-        }
+        """Every field, with ``entries`` written as ``epochs``."""
+        doc = asdict(self)
+        doc["epochs"] = doc.pop("entries")
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def best_val_accuracy(self) -> float:
@@ -510,9 +486,12 @@ class TrainReport:
 
 def _fit(model: TowerModel, streams: tuple[np.ndarray, ...], targets: np.ndarray, rows, loss,
          tc: TrainConfig, tag: str):
-    """Mini-batch training on ``rows`` of ``streams``; yields each epoch's mean minibatch loss."""
+    """Mini-batch training on ``rows`` of ``streams``; yields each epoch's mean minibatch loss.
+    NonFiniteValue once a step leaves a NaN or inf weight, as a NaN or inf gradient or an
+    update that overflows does under Adam and SGD alike."""
     shuffle_rng = Rng(derive_seed(tc.seed, tag))
     step = adam_step if tc.optimizer == "adam" else sgd_step
+    params = model.trainable()
     for _epoch in range(tc.epochs):
         idx = list(rows)
         shuffle_rng.shuffle(idx)
@@ -522,7 +501,9 @@ def _fit(model: TowerModel, streams: tuple[np.ndarray, ...], targets: np.ndarray
             out, caches = model.forward(tuple(s[batch] for s in streams))
             value, grad = loss(out, targets[batch].astype(out.dtype))
             model.backward(grad, caches)
-            step(model.trainable(), tc.lr)
+            step(params, tc.lr)
+            if not all(np.isfinite(p.flat).all() for p in params):
+                raise NonFiniteValue("non-finite weights after a training step")
             losses.append(value)
         yield float(np.mean(losses))
 

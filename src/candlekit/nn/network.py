@@ -1,4 +1,7 @@
-"""Layer stacks with build-time shape validation."""
+"""Layer stacks with build-time shape validation. NaN and inf are checked where values
+enter (``forward``'s input and output, ``set_arrays``) or change (``models._fit``), not
+per layer: an inf put in ``Params`` by hand can give a finite forward-only output, as
+ReLU and max-pool drop -inf and sigmoid maps +-inf to 1 or 0."""
 
 from __future__ import annotations
 
@@ -7,10 +10,6 @@ import numpy as np
 from ..errors import NonFiniteValue, ShapeMismatch
 from ..rng import SplitMix64
 from .layers import LayerSpec, Params, backward, forward, init_params, output_shape
-
-def _check_finite(a: np.ndarray, where: str) -> None:
-    if not np.isfinite(a).all():
-        raise NonFiniteValue(f"non-finite values after {where}")
 
 
 class Sequential:
@@ -33,11 +32,15 @@ class Sequential:
         self.params: list[Params | None] = [init_params(s, sm.next_u64()) for s in self.specs]
 
     def forward(self, x: np.ndarray):
+        """Output and per-layer caches; NonFiniteValue on a NaN or inf in the input or output."""
+        if not np.isfinite(x).all():
+            raise NonFiniteValue("non-finite values in the stack's input")
         caches = []
         for spec, p in zip(self.specs, self.params):
             x, cache = forward(spec, p, x)
-            _check_finite(x, f"forward {type(spec).__name__}")
             caches.append(cache)
+        if not np.isfinite(x).all():
+            raise NonFiniteValue("non-finite values in the stack's output")
         return x, caches
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -51,10 +54,7 @@ class Sequential:
         first layer then skips its input gradient and None comes back.
         """
         for i in reversed(range(len(self.specs))):
-            spec = self.specs[i]
-            grad = backward(spec, self.params[i], caches[i], grad, need_dx=i > 0 or _input_grad)
-            if grad is not None:
-                _check_finite(grad, f"backward {type(spec).__name__}")
+            grad = backward(self.specs[i], self.params[i], caches[i], grad, need_dx=i > 0 or _input_grad)
         return grad
 
     def trainable(self) -> list[Params]:
@@ -65,10 +65,13 @@ class Sequential:
         return [a for p in self.trainable() for a in (p.weight, p.bias)]
 
     def set_arrays(self, arrays: list[np.ndarray]) -> None:
+        """Copy ``arrays`` into ``arrays()``'s views; NonFiniteValue on a NaN or inf. Shared by ``Model``."""
         own = self.arrays()
         if len(own) != len(arrays):
             raise ShapeMismatch(f"expected {len(own)} arrays, got {len(arrays)}")
         for dst, src in zip(own, arrays):
             if dst.shape != src.shape:
                 raise ShapeMismatch(f"array shape {src.shape} != expected {dst.shape}")
+            if not np.isfinite(src).all():
+                raise NonFiniteValue(f"non-finite values in a loaded array of shape {src.shape}")
             dst[...] = src.astype(dst.dtype)

@@ -27,6 +27,7 @@ import math
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+MAX_SEED = _MASK64  # derive_seed masks a larger or negative seed to one of [0, MAX_SEED]
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

@@ -192,6 +192,8 @@ class TestManifest:
         {"datasets": [{"name": "a", "synth": {"n": 50}, "csv_path": None}]},
         {"datasets": [{"name": "a", "synth": {"n": 50}, "members": []}]},
         {"datasets": [{"name": "a", "synth": {"n": 50}, 1: "x", None: "y"}]},
+        {"master_seed": -1},
+        {"master_seed": 2**64},
     ], ids=[
         "datasets-int", "seed-str", "synth-n-str", "arm-int", "candle_px-even",
         "hist_hw-zero", "pattern_hw-one-dim", "subchart_hw-not-div4", "hist_hw-str",
@@ -206,6 +208,7 @@ class TestManifest:
         "doji_body_frac-nan", "volatility-inf", "hist_hw-too-small-for-blocks",
         "pattern_hw-too-small-for-blocks", "arm-key-typo", "document-key-typo",
         "dataset-key-typo", "null-value", "synth-with-empty-members", "non-str-keys",
+        "seed-negative", "seed-2^64",
     ])
     def test_bad_types_and_values_fail_at_load(self, tmp_path, override):
         with pytest.raises(ManifestError):
@@ -615,6 +618,28 @@ class TestCli:
         ) == 0
         assert len(list((tmp_path / "subs").glob("chart.sub*.ppm"))) == 28
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_u64_exits_2_naming_the_flag(self, capsys, seed):
+        # derive_seed masks to 64 bits: -1 and 2^64 - 1 would build the same series
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["detect", "--synth", "40", "--seed", seed])
+        assert exc.value.code == 2 and "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--end-index", "-1"], "--end-index"),
+        (["--end-index", "50"], "--end-index"),
+        (["--window", "100"], "--window"),
+        (["--window", "0"], "--window"),
+        (["--end-index", "20"], "--window"),  # the default window of 30 does not fit
+    ], ids=["end-index-negative", "end-index-past-the-series", "window-longer-than-the-series",
+            "window-zero", "default-window-past-the-start"])
+    def test_render_rejects_a_window_that_does_not_fit(self, tmp_path, capsys, flags, flag):
+        out = tmp_path / "chart.ppm"
+        assert cli_main(["render", "--synth", "50", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not out.exists()
+
     def test_render_and_decompose_default_to_the_model_section(self, tmp_path, capsys):
         # without --window, --k and --stride the charts and crops follow the
         # manifest's model section, as the experiment's own do
@@ -683,6 +708,36 @@ class TestCli:
         record = json.loads((run_dir / "train_report.json").read_text())["cae_mse"]
         assert len(record) == 4
         assert [record[0], record[-1]] == [row["cae_mse_first"], row["cae_mse_final"]]
+
+    def test_train_report_json_keeps_its_layout(self, tmp_path, capsys):
+        # the layout the report was written in by hand before it came from asdict
+        man_path = self._tiny_manifest(tmp_path)
+        assert cli_main(["train", "--manifest", str(man_path), "--dataset", "alpha", "--arm", "sub"]) == 0
+        text = (tmp_path / "out" / "train" / "alpha__sub" / "train_report.json").read_text()
+        doc = json.loads(text)
+        epoch_keys = ("epoch", "train_loss", "val_accuracy", "val_f1", "val_auc")
+        expected = {
+            "epochs": [{k: e[k] for k in epoch_keys} for e in doc["epochs"]],
+            "n_train": doc["n_train"],
+            "n_val": doc["n_val"],
+            "n_test": doc["n_test"],
+            "cae_mse": doc["cae_mse"],
+        }
+        assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert len(doc["epochs"]) == 2 and len(doc["cae_mse"]) == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_eval_rejects_a_non_finite_checkpoint(self, tmp_path, capsys, value):
+        man_path = self._tiny_manifest(tmp_path)
+        man = load_manifest(man_path)
+        arrays = build_model(_model_config(man, "alpha", man.arms[1])).arrays()
+        arrays[-2].flat[0] = value  # the last Dense, whose sigmoid would absorb an inf
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(arrays_to_bytes(arrays))
+        argv = ["eval", "--manifest", str(man_path), "--dataset", "alpha", "--arm", "non_pattern",
+                "--checkpoint", str(ckpt)]
+        assert cli_main(argv) == 2
+        assert "error: non-finite values in a loaded array" in capsys.readouterr().err
 
     @pytest.mark.parametrize("arm,checkpoint", [
         ("sub", None),

@@ -23,9 +23,11 @@ from candlekit.errors import (
     EmptyPartition,
     InvalidShape,
     LengthMismatch,
+    NonFiniteValue,
 )
+from candlekit import models
 from candlekit.models import _PREDICT_CHUNK, CAEModel, _fit
-from candlekit.nn import arrays_to_bytes, loss_mse
+from candlekit.nn import Sequential, arrays_to_bytes, loss_mse
 from candlekit.rng import Rng
 
 from oracles import oracle_metrics
@@ -427,3 +429,73 @@ class TestTrainSubchartPipeline:
         own = model.arrays()
         parts = model.cae.arrays() + model.cnn1d.arrays()
         assert len(own) == len(parts) and all(a is b for a, b in zip(own, parts))
+
+
+SUB_CFG = ModelConfig(variant="subchart", input_shape=(3, 8, 8), block_widths=(4, 8),
+                      latent_dim=8, seq_len=6, seed=2)
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+
+
+def _model_and_set(variant):
+    """A fresh model and a small random training set for it; row 0 is a training row."""
+    if variant == "mini_cnn":
+        return MiniCNN(SMALL_CFG), random_training_set(seed=5)
+    rng = np.random.default_rng(6)
+    return build_model(SUB_CFG), SubchartDataset(
+        inputs=rng.random((30, 6, 3, 8, 8), dtype=np.float32),
+        labels=(rng.random(30) < 0.5).astype(np.float32),
+        order=np.arange(30, dtype=np.int64),
+    )
+
+
+class TestNonFiniteValues:
+    # Between them the two models hold Conv2D, Conv1D and Dense weights, and
+    # their layers after those include ReLU, max-pool, upsample and sigmoid.
+    # Injections run under errstate: numpy warns on inf - inf and 0 * inf, and
+    # the test settings turn that warning into an error.
+    @NON_FINITE
+    @pytest.mark.parametrize("variant", ["mini_cnn", "subchart"])
+    def test_non_finite_input_fails_training(self, variant, value):
+        model, ts = _model_and_set(variant)
+        ts.inputs[0].flat[7] = value
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+            train(model, ts, TrainConfig(epochs=1, batch_size=8))
+
+    @NON_FINITE
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("variant", ["mini_cnn", "subchart"])
+    def test_non_finite_weight_fails_training_by_its_first_step(self, monkeypatch, variant, optimizer,
+                                                                  value):
+        # One trainable layer at a time. A forward pass catches most cases
+        # before any step (a NaN output); the rest must raise right after the
+        # poisoned layer's first step, with no forward pass in between.
+        events = []  # "forward", or per step whether it updated the poisoned layer
+        real_forward, real_step = Sequential.forward, getattr(models, f"{optimizer}_step")
+
+        def forward(stack, x):
+            events.append("forward")
+            return real_forward(stack, x)
+
+        def step(params, lr):
+            events.append(any(p is poisoned for p in params))
+            real_step(params, lr)
+
+        monkeypatch.setattr(Sequential, "forward", forward)
+        monkeypatch.setattr(models, f"{optimizer}_step", step)
+        for layer in range(len(_model_and_set(variant)[0].trainable())):
+            model, ts = _model_and_set(variant)
+            poisoned = model.trainable()[layer]
+            poisoned.weight.flat[0] = value
+            events.clear()
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+                train(model, ts, TrainConfig(epochs=1, batch_size=8, optimizer=optimizer))
+            assert True not in events or events.index(True) == len(events) - 1
+
+    @NON_FINITE
+    @pytest.mark.parametrize("variant", ["mini_cnn", "subchart"])
+    def test_set_arrays_rejects_a_non_finite_array(self, variant, value):
+        model = _model_and_set(variant)[0]
+        arrays = [a.copy() for a in model.arrays()]
+        arrays[-1].flat[0] = value
+        with pytest.raises(NonFiniteValue):
+            model.set_arrays(arrays)

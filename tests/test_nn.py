@@ -367,6 +367,36 @@ class TestSequential:
         with pytest.raises(NonFiniteValue):
             net.forward(np.ones((1, 2), dtype=np.float32))
 
+    def test_set_arrays_rejects_non_finite_values(self):
+        net = nn.Sequential([nn.Dense(2, 2), nn.ReLU(), nn.Dense(2, 1)], (2,), seed=0)
+        before = [a.copy() for a in net.arrays()]
+        for value in (np.nan, np.inf, -np.inf):
+            for i in range(len(before)):
+                arrays = [a.copy() for a in before]
+                arrays[i].flat[-1] = value
+                with pytest.raises(NonFiniteValue):
+                    net.set_arrays(arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(net.arrays(), before))
+
+    @pytest.mark.parametrize("specs, column, value, expected", [
+        ([nn.Dense(2, 1), nn.Sigmoid()], 0, np.inf, [1.0]),
+        ([nn.Dense(2, 1), nn.Sigmoid()], 0, -np.inf, [0.0]),
+        ([nn.Dense(2, 1), nn.ReLU()], 0, -np.inf, [0.0]),
+        ([nn.Dense(2, 2), nn.Reshape((1, 2)), nn.MaxPool1D(2, 2)], 0, -np.inf, [[2.0]]),
+    ], ids=["sigmoid-inf", "sigmoid-minus-inf", "relu-minus-inf", "maxpool-minus-inf"])
+    def test_inf_written_into_params_can_give_a_finite_prediction(self, specs, column, value, expected):
+        # Only a stack's input and output are checked, not each layer: an inf
+        # put straight into a layer's weights (not through set_arrays, which
+        # rejects it) is absorbed by the layer after it. Training still fails
+        # at its first step, because the weight check follows every step.
+        net = nn.Sequential(specs, (2,), seed=0)
+        net.params[0].weight[...] = 1.0
+        net.params[0].weight[:, column] = value
+        net.params[0].bias[...] = 0.0
+        with np.errstate(all="ignore"):
+            out = net.predict(np.ones((1, 2), dtype=np.float32))
+        assert np.isfinite(out).all() and np.allclose(out, [expected], atol=1e-6)  # sigmoid clips to 1e-7
+
     def test_set_arrays_round_trip(self):
         specs = [nn.Conv2D(1, 2, 3, pad=1), nn.ReLU(), nn.Flatten(), nn.Dense(32, 1)]
         a = nn.Sequential(specs, (1, 4, 4), seed=5)
