@@ -89,17 +89,7 @@ def _cmd_detect(args) -> int:
     params = man.pattern_params if man else PatternRuleParams()
     series = _series_from_args(args, man)
     for m in detect_all(series, params):
-        print(
-            json.dumps(
-                {
-                    "kind": m.kind.value,
-                    "end_index": m.end_index,
-                    "span": m.span,
-                    "direction": m.direction.value,
-                },
-                sort_keys=True,
-            )
-        )
+        print(json.dumps(m.to_dict(), sort_keys=True))
     return 0
 
 

@@ -17,14 +17,13 @@ chart and a small CNN must be able to learn it.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .decompose import subchart_spans
 from .errors import EmptyDataset, ManifestError, ShapeMismatch
-from .fileio import read_input
+from .fileio import parse_json, read_input
 from .market_data import Candle, CandleWindow
 from .models import SubchartDataset, TrainingSet
 from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window
@@ -47,8 +46,8 @@ def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
     rows = []
     for n, line in enumerate(lines, start=1):
         try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # not JSON or not UTF-8, or nested too deep
+            row = parse_json(line)
+        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a repeated key, or nested too deep
             raise ManifestError(f"{path} row {n} is not JSON: {exc}") from exc
         if not (isinstance(row, dict) and set(_ROW_KEYS) <= row.keys()
                 and type(row["end_index"]) is int

@@ -87,7 +87,9 @@ class InvalidShape(CandlekitError):
 
 
 class NonFiniteValue(CandlekitError):
-    """A NaN or Inf in a layer stack's input or output, a loaded weight, or a weight after a training step."""
+    """A NaN or Inf in a layer stack's input or output, a loaded weight, or a weight after a training step.
+
+    numpy's overflow and invalid-value warnings are silenced where one of these checks follows."""
 
 
 # --- training / evaluation ---

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .datasets import assemble_subchart_dataset, assemble_training_set
 from .errors import CandlekitError, EmptyDataset, ManifestError, SourceNotFound
-from .fileio import read_input, write_atomic
+from .fileio import parse_json, read_input, write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import Series, SynthParams, parse_csv, synth_series
 from .models import (
@@ -257,17 +257,9 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
     return man
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict; a key given twice is an error rather than the last one kept."""
-    keys = [k for k, _v in pairs]
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"an object repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
-    return dict(pairs)
-
-
 def _read_json(path: str | Path, what: str):
     try:
-        return json.loads(read_input(path, what, Path.read_bytes), object_pairs_hook=_unique_keys)
+        return parse_json(read_input(path, what, Path.read_bytes))
     except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a repeated key, or nested too deep
         raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -332,10 +324,7 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
                 {
                     "sample_id": s.sample_id,
                     "symbol": series.symbol,
-                    "end_index": s.match.end_index,
-                    "kind": s.match.kind.value,
-                    "span": s.match.span,
-                    "direction": s.match.direction.value,
+                    **s.match.to_dict(),
                     "strength": s.strength.value,
                     "history_image_path": hist_rel,
                     "pattern_image_path": pat_rel,
@@ -450,13 +439,13 @@ def evaluate_checkpoint(
 ) -> EvalReport:
     """Test-partition metrics of any arm's :func:`run_arm` checkpoint, split as that run split.
 
-    Builds only the datasets that ``ds_name`` reads.
+    Builds only the datasets that ``ds_name`` reads, and only once the checkpoint has loaded.
     """
-    arrays = load_arrays(checkpoint)
-    dirs = {m: build_dataset(man, m) for m in _members(man, ds_name)}
-    ts = _assemble(man, dirs, ds_name, arm)
+    members = _members(man, ds_name)
     model = build_model(_model_config(man, ds_name, arm))
-    model.set_arrays(arrays)
+    model.set_arrays(load_arrays(checkpoint))
+    dirs = {m: build_dataset(man, m) for m in members}
+    ts = _assemble(man, dirs, ds_name, arm)
     return _test_report(model, ts, _train_config(man, ds_name, arm))
 
 

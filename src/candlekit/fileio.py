@@ -1,9 +1,11 @@
 """File reads and writes. Every input file is read through ``read_input``,
-which turns a failed read into a CandlekitError; every output goes through
-``write_atomic``, so a reader finds the old file or the new one, never a part."""
+which turns a failed read into a CandlekitError, and its JSON is parsed by
+``parse_json``; every output goes through ``write_atomic``, so a reader
+finds the old file or the new one, never a part."""
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -24,6 +26,23 @@ def read_input(path: str | Path, what: str, read=Path.read_text):
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise SourceNotFound(f"{what} cannot be read: {str(path)!r}: {reason}") from exc
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error rather than the last one kept."""
+    keys = [k for k, _v in pairs]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"an object repeats key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
+def parse_json(data: str | bytes):
+    """``json.loads`` that rejects an object with a repeated key.
+
+    ValueError for bytes that are not UTF-8 JSON or repeat a key, RecursionError
+    for nesting too deep; each caller maps these to its own CandlekitError.
+    """
+    return json.loads(data, object_pairs_hook=_unique_keys)
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:

@@ -488,7 +488,8 @@ def _fit(model: TowerModel, streams: tuple[np.ndarray, ...], targets: np.ndarray
          tc: TrainConfig, tag: str):
     """Mini-batch training on ``rows`` of ``streams``; yields each epoch's mean minibatch loss.
     NonFiniteValue once a step leaves a NaN or inf weight, as a NaN or inf gradient or an
-    update that overflows does under Adam and SGD alike."""
+    update that overflows does under Adam and SGD alike; numpy's warnings for these are
+    silenced in the backward pass and the step, which that check follows."""
     shuffle_rng = Rng(derive_seed(tc.seed, tag))
     step = adam_step if tc.optimizer == "adam" else sgd_step
     params = model.trainable()
@@ -500,8 +501,9 @@ def _fit(model: TowerModel, streams: tuple[np.ndarray, ...], targets: np.ndarray
             batch = np.asarray(idx[start : start + tc.batch_size])
             out, caches = model.forward(tuple(s[batch] for s in streams))
             value, grad = loss(out, targets[batch].astype(out.dtype))
-            model.backward(grad, caches)
-            step(params, tc.lr)
+            with np.errstate(over="ignore", invalid="ignore"):  # the weight check follows
+                model.backward(grad, caches)
+                step(params, tc.lr)
             if not all(np.isfinite(p.flat).all() for p in params):
                 raise NonFiniteValue("non-finite weights after a training step")
             losses.append(value)

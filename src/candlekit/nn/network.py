@@ -32,13 +32,17 @@ class Sequential:
         self.params: list[Params | None] = [init_params(s, sm.next_u64()) for s in self.specs]
 
     def forward(self, x: np.ndarray):
-        """Output and per-layer caches; NonFiniteValue on a NaN or inf in the input or output."""
+        """Output and per-layer caches; NonFiniteValue on a NaN or inf in the input or output.
+
+        numpy's overflow and invalid-value warnings are silenced in the layers, as the
+        output check that follows turns what they warn of into that one error."""
         if not np.isfinite(x).all():
             raise NonFiniteValue("non-finite values in the stack's input")
         caches = []
-        for spec, p in zip(self.specs, self.params):
-            x, cache = forward(spec, p, x)
-            caches.append(cache)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for spec, p in zip(self.specs, self.params):
+                x, cache = forward(spec, p, x)
+                caches.append(cache)
         if not np.isfinite(x).all():
             raise NonFiniteValue("non-finite values in the stack's output")
         return x, caches

@@ -2,8 +2,14 @@
 
 Ten classic formations with explicit, parameterized predicates. Per-candle
 quantities: body = |close - open|, range = high - low, upper wick =
-high - max(open, close), lower wick = min(open, close) - low; a candle is
-bullish iff close > open.
+high - max(open, close), lower wick = min(open, close) - low; a candle's
+colour is +1 (bullish) if close > open, -1 (bearish) if close < open, else 0.
+
+The catalog is one table, ``_CATALOG``: each kind's span, direction and rule.
+A rule gets the direction's sign (+1 bullish, -1 bearish, 0 neutral), and each
+bullish/bearish pair shares one rule that the sign turns to its side:
+engulfing, morning/evening star, three white soldiers/black crows, and
+inverted hammer/shooting star.
 
 Trend context for the reversal shapes compares the mean close of the
 ``trend_lookback`` candles immediately before the pattern against the
@@ -48,43 +54,16 @@ class PatternKind(Enum):
     THREE_BLACK_CROWS = "three_black_crows"
 
 
-_SPAN: dict[PatternKind, int] = {
-    PatternKind.DOJI: 1,
-    PatternKind.HAMMER: 1,
-    PatternKind.INVERTED_HAMMER: 1,
-    PatternKind.SHOOTING_STAR: 1,
-    PatternKind.BULLISH_ENGULFING: 2,
-    PatternKind.BEARISH_ENGULFING: 2,
-    PatternKind.MORNING_STAR: 3,
-    PatternKind.EVENING_STAR: 3,
-    PatternKind.THREE_WHITE_SOLDIERS: 3,
-    PatternKind.THREE_BLACK_CROWS: 3,
-}
-
-_DIRECTION: dict[PatternKind, Direction] = {
-    PatternKind.DOJI: Direction.NEUTRAL,
-    PatternKind.HAMMER: Direction.BULLISH,
-    PatternKind.INVERTED_HAMMER: Direction.BULLISH,
-    PatternKind.SHOOTING_STAR: Direction.BEARISH,
-    PatternKind.BULLISH_ENGULFING: Direction.BULLISH,
-    PatternKind.BEARISH_ENGULFING: Direction.BEARISH,
-    PatternKind.MORNING_STAR: Direction.BULLISH,
-    PatternKind.EVENING_STAR: Direction.BEARISH,
-    PatternKind.THREE_WHITE_SOLDIERS: Direction.BULLISH,
-    PatternKind.THREE_BLACK_CROWS: Direction.BEARISH,
-}
-
-
-def span_of(kind: PatternKind) -> int:
-    return _SPAN[kind]
-
-
 @dataclass(frozen=True)
 class PatternMatch:
     kind: PatternKind
     end_index: int
     span: int
     direction: Direction
+
+    def to_dict(self) -> dict:
+        """Fields by name, enums as their values: a ``detect`` line, and part of a dataset row."""
+        return {k: getattr(v, "value", v) for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -108,150 +87,114 @@ class PatternRuleParams:
             raise BadParams("trend_min_slope_frac must be >= 0")
 
 
+def _cmp(a: float, b: float) -> int:
+    """+1 if a > b, -1 if a < b, else 0; a candle's colour is ``_cmp(close, open)``."""
+    return (a > b) - (a < b)
+
+
 def _body(c: Candle) -> float:
     return abs(c.close - c.open)
 
 
-def _range(c: Candle) -> float:
-    return c.high - c.low
-
-
-def _upper_wick(c: Candle) -> float:
-    return c.high - max(c.open, c.close)
-
-
-def _lower_wick(c: Candle) -> float:
-    return min(c.open, c.close) - c.low
-
-
-def _bullish(c: Candle) -> bool:
-    return c.close > c.open
-
-
-def _bearish(c: Candle) -> bool:
-    return c.close < c.open
-
-
-def _within_body(x: float, c: Candle) -> bool:
-    return min(c.open, c.close) <= x <= max(c.open, c.close)
-
-
-def _contexts(series: Series, first_index: int, p: PatternRuleParams) -> tuple[bool, bool]:
-    """(down_context, up_context) for a pattern starting at first_index."""
-    ctx = series.candles[first_index - p.trend_lookback : first_index]
+def _trend(series: Series, first: int, p: PatternRuleParams, down: bool) -> bool:
+    """Down-context (up-context if not ``down``) for a pattern starting at ``first``."""
+    ctx = series.candles[first - p.trend_lookback : first]
     mean_close = sum(c.close for c in ctx) / len(ctx)
-    first_open = series.candles[first_index].open
-    threshold = p.trend_min_slope_frac * first_open
-    down = (mean_close - first_open) >= threshold
-    up = (first_open - mean_close) >= threshold
-    return down, up
+    first_open = series.candles[first].open
+    rise = mean_close - first_open if down else first_open - mean_close
+    return rise >= p.trend_min_slope_frac * first_open
 
 
-def _matches(
-    series: Series, end_index: int, kind: PatternKind, p: PatternRuleParams
-) -> bool:
-    span = _SPAN[kind]
-    first = end_index - span + 1
-    c = series.candles[end_index]
-
-    if kind is PatternKind.DOJI:
-        r = _range(c)
-        return r == 0 or _body(c) <= p.doji_body_frac * r
-
-    if kind in (PatternKind.HAMMER, PatternKind.INVERTED_HAMMER, PatternKind.SHOOTING_STAR):
-        r = _range(c)
-        if r == 0:
-            return False
-        down, up = _contexts(series, first, p)
-        if kind is PatternKind.HAMMER:
-            return (
-                down
-                and _body(c) > 0
-                and _lower_wick(c) >= p.long_wick_mult * _body(c)
-                and _upper_wick(c) <= p.short_wick_frac * r
-            )
-        shape = (
-            _upper_wick(c) >= p.long_wick_mult * _body(c)
-            and _lower_wick(c) <= p.short_wick_frac * r
-        )
-        return shape and (down if kind is PatternKind.INVERTED_HAMMER else up)
-
-    if kind in (PatternKind.BULLISH_ENGULFING, PatternKind.BEARISH_ENGULFING):
-        prev, cur = series.candles[first], c
-        lo_p, hi_p = min(prev.open, prev.close), max(prev.open, prev.close)
-        lo_c, hi_c = min(cur.open, cur.close), max(cur.open, cur.close)
-        contains = lo_c < lo_p and hi_c > hi_p
-        if kind is PatternKind.BULLISH_ENGULFING:
-            return _bearish(prev) and _bullish(cur) and contains
-        return _bullish(prev) and _bearish(cur) and contains
-
-    c1, c2, c3 = series.candles[first], series.candles[first + 1], c
-
-    if kind in (PatternKind.MORNING_STAR, PatternKind.EVENING_STAR):
-        down, up = _contexts(series, first, p)
-        small_middle = _body(c2) <= p.star_gap_frac * _body(c1)
-        mid1 = (c1.open + c1.close) / 2.0
-        if kind is PatternKind.MORNING_STAR:
-            return down and _bearish(c1) and small_middle and _bullish(c3) and c3.close > mid1
-        return up and _bullish(c1) and small_middle and _bearish(c3) and c3.close < mid1
-
-    if kind is PatternKind.THREE_WHITE_SOLDIERS:
-        return (
-            _bullish(c1)
-            and _bullish(c2)
-            and _bullish(c3)
-            and c2.close > c1.close
-            and c3.close > c2.close
-            and _within_body(c2.open, c1)
-            and _within_body(c3.open, c2)
-        )
-
-    # three black crows
-    return (
-        _bearish(c1)
-        and _bearish(c2)
-        and _bearish(c3)
-        and c2.close < c1.close
-        and c3.close < c2.close
-        and _within_body(c2.open, c1)
-        and _within_body(c3.open, c2)
-    )
+def _doji(s: Series, i: int, p: PatternRuleParams, sign: int) -> bool:
+    c = s.candles[i]
+    r = c.high - c.low
+    return r == 0 or _body(c) <= p.doji_body_frac * r
 
 
-def match_at(
-    series: Series,
-    end_index: int,
-    kind: PatternKind,
-    params: PatternRuleParams = PatternRuleParams(),
-) -> PatternMatch | None:
+def _hammer(s: Series, i: int, p: PatternRuleParams, sign: int) -> bool:
+    # body > 0 also rules out a zero range; the inverted hammer has no such test
+    c = s.candles[i]
+    return (_body(c) > 0
+            and min(c.open, c.close) - c.low >= p.long_wick_mult * _body(c)
+            and c.high - max(c.open, c.close) <= p.short_wick_frac * (c.high - c.low)
+            and _trend(s, i, p, down=True))
+
+
+def _inverted_hammer(s: Series, i: int, p: PatternRuleParams, sign: int) -> bool:
+    """After a down-trend an inverted hammer, after an up-trend a shooting star."""
+    c = s.candles[i]
+    r = c.high - c.low
+    return (r > 0
+            and c.high - max(c.open, c.close) >= p.long_wick_mult * _body(c)
+            and min(c.open, c.close) - c.low <= p.short_wick_frac * r
+            and _trend(s, i, p, down=sign > 0))
+
+
+def _engulfing(s: Series, i: int, p: PatternRuleParams, sign: int) -> bool:
+    prev, cur = s.candles[i], s.candles[i + 1]
+    return (_cmp(prev.close, prev.open) == -sign
+            and _cmp(cur.close, cur.open) == sign
+            and min(cur.open, cur.close) < min(prev.open, prev.close)
+            and max(cur.open, cur.close) > max(prev.open, prev.close))
+
+
+def _star(s: Series, i: int, p: PatternRuleParams, sign: int) -> bool:
+    c1, c2, c3 = s.candles[i : i + 3]
+    return (_trend(s, i, p, down=sign > 0)
+            and _cmp(c1.close, c1.open) == -sign
+            and _body(c2) <= p.star_gap_frac * _body(c1)
+            and _cmp(c3.close, c3.open) == sign
+            and _cmp(c3.close, (c1.open + c1.close) / 2.0) == sign)
+
+
+def _three_soldiers(s: Series, i: int, p: PatternRuleParams, sign: int) -> bool:
+    """Three candles of the sign's colour, each closing past the last and opening inside its body."""
+    cs = s.candles[i : i + 3]
+    return all(_cmp(c.close, c.open) == sign for c in cs) and all(
+        _cmp(b.close, a.close) == sign and min(a.open, a.close) <= b.open <= max(a.open, a.close)
+        for a, b in zip(cs, cs[1:]))
+
+
+_SIGN = {Direction.BULLISH: 1, Direction.BEARISH: -1, Direction.NEUTRAL: 0}
+
+# kind: (span, direction, rule); a rule takes (series, first index, params, sign)
+_CATALOG = {
+    PatternKind.DOJI: (1, Direction.NEUTRAL, _doji),
+    PatternKind.HAMMER: (1, Direction.BULLISH, _hammer),
+    PatternKind.INVERTED_HAMMER: (1, Direction.BULLISH, _inverted_hammer),
+    PatternKind.SHOOTING_STAR: (1, Direction.BEARISH, _inverted_hammer),
+    PatternKind.BULLISH_ENGULFING: (2, Direction.BULLISH, _engulfing),
+    PatternKind.BEARISH_ENGULFING: (2, Direction.BEARISH, _engulfing),
+    PatternKind.MORNING_STAR: (3, Direction.BULLISH, _star),
+    PatternKind.EVENING_STAR: (3, Direction.BEARISH, _star),
+    PatternKind.THREE_WHITE_SOLDIERS: (3, Direction.BULLISH, _three_soldiers),
+    PatternKind.THREE_BLACK_CROWS: (3, Direction.BEARISH, _three_soldiers),
+}
+
+
+def span_of(kind: PatternKind) -> int:
+    return _CATALOG[kind][0]
+
+
+def match_at(series: Series, end_index: int, kind: PatternKind,
+             params: PatternRuleParams = PatternRuleParams()) -> PatternMatch | None:
     """Evaluate one kind's predicate at one index.
 
     The result depends only on the candles in
     ``[end_index - span + 1 - trend_lookback, end_index]``.
     """
-    span = _SPAN[kind]
+    span, direction, rule = _CATALOG[kind]
     if end_index >= len(series) or end_index < span - 1 + params.trend_lookback:
-        raise OutOfRange(
-            f"end_index {end_index} lacks span+context history "
-            f"(span={span}, lookback={params.trend_lookback}, len={len(series)})"
-        )
-    if not _matches(series, end_index, kind, params):
-        return None
-    return PatternMatch(
-        kind=kind, end_index=end_index, span=span, direction=_DIRECTION[kind]
-    )
+        raise OutOfRange(f"end_index {end_index} lacks span+context history "
+                         f"(span={span}, lookback={params.trend_lookback}, len={len(series)})")
+    if rule(series, end_index - span + 1, params, _SIGN[direction]):
+        return PatternMatch(kind=kind, end_index=end_index, span=span, direction=direction)
+    return None
 
 
-def detect_all(
-    series: Series, params: PatternRuleParams = PatternRuleParams()
-) -> list[PatternMatch]:
+def detect_all(series: Series, params: PatternRuleParams = PatternRuleParams()) -> list[PatternMatch]:
     """All matches of all kinds, ordered by (end_index, catalog order)."""
-    out: list[PatternMatch] = []
-    for end_index in range(len(series)):
-        for kind in PatternKind:
-            if end_index < _SPAN[kind] - 1 + params.trend_lookback:
-                continue
-            m = match_at(series, end_index, kind, params)
-            if m is not None:
-                out.append(m)
-    return out
+    found = (match_at(series, end_index, kind, params)
+             for end_index in range(len(series)) for kind in PatternKind
+             if end_index >= span_of(kind) - 1 + params.trend_lookback)
+    return [m for m in found if m is not None]

@@ -2,6 +2,7 @@ import importlib
 import json
 import re
 import shutil
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -459,8 +460,9 @@ class TestAssembly:
         ("end_index-bool", ManifestError),
         ("path-nul", SourceNotFound),
         ("strength-unknown", ManifestError),
+        ("repeated-key", ManifestError),
     ], ids=["not-json", "not-object", "missing-key", "missing-ppm", "path-not-str",
-            "end_index-bool", "path-nul", "strength-unknown"])
+            "end_index-bool", "path-nul", "strength-unknown", "repeated-key"])
     def test_bad_dataset_dir_fails_both_assemblers(self, tmp_path, damage, error):
         man = manifest(tmp_path)
         ddir = build_dataset(man, "alpha")
@@ -478,7 +480,9 @@ class TestAssembly:
             path.write_text("\n".join(lines) + "\n")
         else:
             del row["strength"]
-            lines[0] = {"not-json": "{not json", "not-object": "[1, 2]", "missing-key": json.dumps(row)}[damage]
+            # repeated-key: a bare json.loads would keep the last "strength" and read a valid row
+            lines[0] = {"not-json": "{not json", "not-object": "[1, 2]", "missing-key": json.dumps(row),
+                        "repeated-key": json.dumps(row)[:-1] + ', "strength": "strong", "strength": "weak"}'}[damage]
             path.write_text("\n".join(lines) + "\n")
         with pytest.raises(error):
             assemble_training_set([ddir], (32, 32), (16, 16), True)
@@ -739,6 +743,33 @@ class TestCli:
         assert cli_main(argv) == 2
         assert "error: non-finite values in a loaded array" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["wrong-count", "nan"])
+    def test_eval_checks_the_checkpoint_before_building_datasets(self, tmp_path, capsys, bad):
+        man_path = self._tiny_manifest(tmp_path)
+        man = load_manifest(man_path)
+        arrays = build_model(_model_config(man, "alpha", man.arms[1])).arrays()
+        if bad == "wrong-count":
+            arrays = [np.zeros(3, np.float32)]
+        else:
+            arrays[0].flat[0] = np.nan
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(arrays_to_bytes(arrays))
+        argv = ["eval", "--manifest", str(man_path), "--dataset", "alpha", "--arm", "non_pattern",
+                "--checkpoint", str(ckpt)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out" / "datasets").exists()
+
+    def test_train_overflow_is_a_non_finite_error_without_a_numpy_warning(self, tmp_path, capsys):
+        man_path = self._tiny_manifest(tmp_path)
+        man_path.write_text(json.dumps(json.loads(man_path.read_text()) | {"train": {"lr": 1e30}}))
+        argv = ["train", "--manifest", str(man_path), "--dataset", "alpha", "--arm", "non_pattern"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(argv) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.startswith("error: non-finite")
+
     @pytest.mark.parametrize("arm,checkpoint", [
         ("sub", None),
         ("sub", "non_pattern"),
@@ -921,3 +952,14 @@ def test_only_fileio_reads_files():
         for n, line in enumerate(path.read_text().splitlines(), start=1) if call.search(line)
     ]
     assert readers == []
+
+
+def test_only_fileio_parses_json():
+    # fileio.parse_json rejects a repeated key; a bare json.loads keeps the last
+    src = Path(__file__).resolve().parent.parent / "src" / "candlekit"
+    parsers = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py")) if path.name != "fileio.py"
+        for n, line in enumerate(path.read_text().splitlines(), start=1) if "json.loads(" in line
+    ]
+    assert parsers == []

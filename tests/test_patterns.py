@@ -217,6 +217,35 @@ class TestDetectAll:
             got = [(m.end_index, m.kind.value) for m in detect_all(s, params)]
             assert got == oracle_detect_all(tuples, params)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bodies=st.lists(
+            st.tuples(
+                st.integers(1, 6), st.integers(1, 6), st.integers(0, 2), st.integers(0, 2)
+            ),
+            min_size=8,
+            max_size=12,
+        ),
+        params=st.sampled_from(
+            [
+                PatternRuleParams(),
+                PatternRuleParams(
+                    trend_lookback=2, star_gap_frac=0.5, trend_min_slope_frac=0.1
+                ),
+            ]
+        ),
+    )
+    def test_oracle_equivalence_on_gapped_series(self, bodies, params):
+        # synth series open every candle at the previous close; these open
+        # anywhere, so engulfing and the three-candle rules meet gapped opens
+        # and ties on small integer prices
+        tuples = [
+            (float(o), float(max(o, c) + up), float(max(min(o, c) - down, 1)), float(c))
+            for o, c, up, down in bodies
+        ]
+        got = [(m.end_index, m.kind.value) for m in detect_all(make_series(tuples), params)]
+        assert got == oracle_detect_all(tuples, params)
+
 
 class TestParams:
     def test_ratio_validation(self):
