@@ -37,7 +37,7 @@ from .datasets import assemble_subchart_dataset, assemble_training_set
 from .errors import CandlekitError, EmptyDataset, ManifestError, SourceNotFound
 from .fileio import parse_json, read_input, write_atomic
 from .labeling import LabelerParams, build_samples
-from .market_data import Series, SynthParams, parse_csv, synth_series
+from .market_data import MAX_SYNTH_N, Series, SynthParams, parse_csv, synth_series
 from .models import (
     VARIANTS as ARM_MODELS,
     EvalReport,
@@ -74,14 +74,14 @@ def _check_name(name, what: str) -> None:
 
 @dataclass(frozen=True)
 class SynthSpec(SynthParams):
-    """A synthetic source: ``n`` (at least 1) candles of the walk its :class:`SynthParams` fields describe."""
+    """A synthetic source: ``n`` (1 to MAX_SYNTH_N) candles of the walk its :class:`SynthParams` fields describe."""
 
     n: int = 0
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.n < 1:
-            raise ManifestError(f"synth spec needs n >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_SYNTH_N:
+            raise ManifestError(f"synth spec needs n in [1, {MAX_SYNTH_N}], got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -465,12 +465,13 @@ def load_report(path: str | Path) -> ExperimentReport:
     """Read back the ``report.json`` that :func:`run_experiment` writes.
 
     A document :func:`_read` rejects, or one :func:`render_report` cannot
-    render (a row's key missing, or of the wrong type), raises ManifestError.
+    render (a row's key missing, or a printed number, count or seed of the
+    wrong type), raises ManifestError.
     """
     report = _read(ExperimentReport, _read_json(path, "report"), f"report {path}")
     try:
         render_report(report)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ManifestError) as exc:
         raise ManifestError(f"report {path} cannot be rendered: {exc!r}") from exc
     return report
 
@@ -540,17 +541,18 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
     return report
 
 
-def _fmt(v: float | None) -> str:
-    return "n/a" if v is None else f"{v:.3f}"
+def _fmt(v: float | None, what: str) -> str:
+    return "n/a" if v is None else f"{_expect(v, float, what):.3f}"
 
 
 def render_report(report: ExperimentReport) -> tuple[str, str]:
-    """(markdown, json) renderings; markdown metrics use 3 decimals."""
+    """(markdown, json) renderings; markdown metrics use 3 decimals. A printed metric that
+    is not a finite number, or a count or seed that is not an int, raises ManifestError."""
     lines = ["# Experiment report", ""]
     env = report.environment
     lines.append(
         f"candlekit {env['version']} | python {env['python']} | numpy {env['numpy']} "
-        f"| master seed {env['master_seed']}"
+        f"| master seed {_expect(env['master_seed'], int, 'master_seed')}"
     )
     arms = []
     for r in report.rows:
@@ -572,9 +574,8 @@ def render_report(report: ExperimentReport) -> tuple[str, str]:
                 lines.append(f"| {r['dataset']} | error: {r['error']} | | |")
                 continue
             m = r["metrics"]
-            lines.append(
-                f"| {r['dataset']} | {_fmt(m['accuracy'])} | {_fmt(m['f1'])} | {_fmt(m['auc'])} |"
-            )
+            shown = " | ".join(_fmt(m[k], f"metric {k}") for k in ("accuracy", "f1", "auc"))
+            lines.append(f"| {r['dataset']} | {shown} |")
     lines.append("")
     lines.append("## Sample counts")
     lines.append("")
@@ -585,10 +586,9 @@ def render_report(report: ExperimentReport) -> tuple[str, str]:
             lines.append(f"| {r['dataset']} | {r['arm']} | - | - | - |")
             continue
         cb = r["class_balance"]
-        lines.append(
-            f"| {r['dataset']} | {r['arm']} | {r['n_samples']} "
-            f"| {r['n_train']}/{r['n_val']}/{r['n_test']} | {cb['strong']}/{cb['weak']} |"
-        )
+        n, tr, va, te, strong, weak = (_expect(v, int, "a sample count") for v in (
+            r["n_samples"], r["n_train"], r["n_val"], r["n_test"], cb["strong"], cb["weak"]))
+        lines.append(f"| {r['dataset']} | {r['arm']} | {n} | {tr}/{va}/{te} | {strong}/{weak} |")
     md = "\n".join(lines) + "\n"
     js = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     return md, js

@@ -40,6 +40,10 @@ logger = logging.getLogger(__name__)
 _MIN_ISO_ORDINAL = date(1600, 1, 1).toordinal()
 _MAX_ORDINAL = date.max.toordinal()
 
+# Most candles in a synthetic series (``--synth``, a manifest's ``synth.n``): far above the
+# benchmark's 1,500-candle desk series, far below a length that would exhaust memory.
+MAX_SYNTH_N = 100_000
+
 
 @dataclass(frozen=True)
 class Candle:
@@ -252,10 +256,10 @@ def synth_series(
     *,
     symbol: str | None = None,
 ) -> Series:
-    """Deterministic synthetic daily series with timestamps 0..n-1; a walk
-    that leaves the positive finite floats raises BadParams naming the candle."""
-    if n < 1:
-        raise BadParams(f"n must be >= 1, got {n}")
+    """Deterministic synthetic daily series with timestamps 0..n-1; an ``n`` outside
+    [1, MAX_SYNTH_N], or a walk that leaves the positive finite floats, raises BadParams."""
+    if not 1 <= n <= MAX_SYNTH_N:
+        raise BadParams(f"n must be in [1, {MAX_SYNTH_N}], got {n}")
     rng = Rng(seed)
     name = symbol if symbol is not None else f"SYNTH-{seed}"
     candles: list[Candle] = []

@@ -159,9 +159,16 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 class Model:
     """What every arm's model offers: ``forward`` over a tuple of ``streams`` input arrays, and
-    ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a ``Sequential``."""
+    ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a ``Sequential``.
+    Every ``forward`` first passes its input to ``_checked_inputs``, the one check of that tuple."""
 
     streams = 1
+
+    def _checked_inputs(self, inputs) -> tuple[np.ndarray, ...]:
+        """``inputs`` if it is a tuple of ``streams`` arrays; ShapeMismatch otherwise."""
+        if not isinstance(inputs, tuple) or len(inputs) != self.streams:
+            raise ShapeMismatch(f"{type(self).__name__} takes a tuple of {self.streams} arrays")
+        return inputs
 
     def trainable(self):
         return [p for part in self.parts for p in part.trainable()]
@@ -186,10 +193,8 @@ class TowerModel(Model):
         self.output_shape = self.parts[-1].output_shape
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
-        if not isinstance(inputs, tuple) or len(inputs) != len(self.towers):
-            raise ShapeMismatch(f"{type(self).__name__} takes a tuple of {len(self.towers)} arrays")
         outs, caches = [], []
-        for tower, x in zip(self.towers, inputs):
+        for tower, x in zip(self.towers, self._checked_inputs(inputs)):
             y, cache = tower.forward(x)
             outs.append(y)
             caches.append(cache)
@@ -299,12 +304,11 @@ class Decomposer(Model):
 
     def encode(self, stacks: np.ndarray) -> np.ndarray:
         """Each sample's (latent_dim, S) sequence of sub-chart codes."""
-        n, s = stacks.shape[:2]
         latent = self.cae.encode(stacks.reshape((-1,) + stacks.shape[2:]))
-        return np.ascontiguousarray(latent.reshape(n, s, -1).transpose(0, 2, 1))
+        return np.ascontiguousarray(latent.reshape(*stacks.shape[:2], -1).transpose(0, 2, 1))
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
-        (stacks,) = inputs
+        (stacks,) = self._checked_inputs(inputs)
         return self.cnn1d.forward((self.encode(stacks),))
 
 
@@ -358,19 +362,11 @@ class EvalReport:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties receive the mean rank of their group."""
-    n = len(values)
-    order = np.argsort(values, kind="stable")
-    sorted_v = values[order]
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties receive the mean rank of their group; each NaN is its own
+    group, ranked after every number in index order (``return_index`` makes the sort stable)."""
+    _, _, group, counts = np.unique(values, return_index=True, return_inverse=True,
+                                    return_counts=True, equal_nan=False)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def evaluate(probs, labels, threshold: float = 0.5) -> EvalReport:

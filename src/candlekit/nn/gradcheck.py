@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import BadSpec
 from ..rng import Rng, derive_seed
@@ -25,9 +24,11 @@ from .layers import (
     NearestUpsample2D,
     ReLU,
     Reshape,
+    _taps,
     backward,
     forward,
     init_params,
+    output_shape,
 )
 from .losses import loss_bce, loss_mse
 
@@ -60,15 +61,10 @@ def _avoid_relu_kink(x: np.ndarray, h: float) -> np.ndarray:
     return np.where(near, sign * margin, x)
 
 
-def _pool_windows(spec, x: np.ndarray) -> np.ndarray:
-    """Pool windows flattened row-major: (N, C, *out, k**rank)."""
-    v = sliding_window_view(x, (spec.k,) * spec.rank, axis=tuple(range(2, 2 + spec.rank)))
-    v = v[(slice(None), slice(None)) + (slice(None, None, spec.stride),) * spec.rank]
-    return v.reshape(*v.shape[: 2 + spec.rank], -1)
-
-
 def _pool_windows_ok(spec, x: np.ndarray, h: float) -> bool:
-    top2 = np.sort(_pool_windows(spec, x), axis=-1)[..., -2:]
+    """True if each window of the taps pool forward reads has its top two values over 10h apart."""
+    taps = _taps(spec.k, spec.stride, output_shape(spec, x.shape[1:])[1:])
+    top2 = np.sort(np.stack([x[t] for t in taps], axis=-1), axis=-1)[..., -2:]
     return bool((top2[..., 1] - top2[..., 0] > 10.0 * h).all())
 
 
@@ -111,6 +107,7 @@ def grad_check(
 ) -> float:
     """Max relative error of backward vs central differences (float64)."""
     shape = in_shape if in_shape is not None else default_input_shape(spec)
+    output_shape(spec, shape[1:])  # a bad spec fails before init_params reads its sizes
     params = init_params(spec, derive_seed(seed, "params"), dtype=np.float64)
     x = _sample_input(spec, seed, h, shape)
     g_rng = Rng(derive_seed(seed, "cotangent"))

@@ -17,9 +17,11 @@ flipped on every axis and in/out swapped, times the output gradient's patches
 at the last tap's offset. Max-pool forward keeps the max of the tap views;
 backward adds each output to its first equal tap, row-major.
 
-Output dims follow floor((in + 2*pad - kernel) / stride) + 1; a stack that
-would reach a nonpositive dim fails at build time with InvalidShape rather
-than at some later forward pass.
+One shape law, :func:`output_shape`, checks every layer: first the spec's own
+sizes (BadSpec), then the input's per-sample shape (InvalidShape). A stack
+calls it for each layer at build time, so a stack that would reach a
+nonpositive dim fails there; ``forward`` calls it on each batch and raises
+ShapeMismatch. Output dims follow floor((in + 2*pad - kernel) / stride) + 1.
 """
 
 from __future__ import annotations
@@ -111,42 +113,49 @@ _CONV = (Conv1D, Conv2D)
 _POOL = (MaxPool1D, MaxPool2D)
 
 
-def _window_dims(spec, spatial: tuple[int, ...], k: int, s: int, p: int, error) -> tuple:
-    """Output spatial dims of a k-wide window at stride s; raises ``error`` below 1."""
+def _window_dims(spec, spatial: tuple[int, ...], k: int, s: int, p: int) -> tuple:
+    """Output spatial dims of a k-wide window at stride s; raises InvalidShape below 1."""
     dims = tuple((n + 2 * p - k) // s + 1 for n in spatial)
     if min(dims) < 1:
         shown = "x".join(map(str, dims))
-        raise error(f"{type(spec).__name__} would produce {shown} from {spatial}")
+        raise InvalidShape(f"{type(spec).__name__} would produce {shown} from {spatial}")
     return dims
 
 
 def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Per-sample output shape (batch dim excluded); raises InvalidShape."""
+    """Per-sample output shape (batch dim excluded); BadSpec for sizes the spec
+    itself gets wrong, then InvalidShape for an input it cannot take."""
     if isinstance(spec, _CONV):
+        if min(spec.in_ch, spec.out_ch, spec.kernel, spec.stride) < 1 or spec.pad < 0:
+            raise BadSpec(f"bad {type(spec).__name__} spec {spec}")
         if len(in_shape) != spec.rank + 1 or in_shape[0] != spec.in_ch:
             name = type(spec).__name__
             raise InvalidShape(f"{name}({spec.in_ch}ch) cannot take input {in_shape}")
-        dims = _window_dims(spec, in_shape[1:], spec.kernel, spec.stride, spec.pad, InvalidShape)
-        return (spec.out_ch, *dims)
+        return (spec.out_ch, *_window_dims(spec, in_shape[1:], spec.kernel, spec.stride, spec.pad))
     if isinstance(spec, _POOL):
+        if min(spec.k, spec.stride) < 1:
+            raise BadSpec(f"bad pool spec {spec}")
         if len(in_shape) != spec.rank + 1:
             name = type(spec).__name__
             raise InvalidShape(f"{name} needs C and {spec.rank} spatial dims, got {in_shape}")
-        dims = _window_dims(spec, in_shape[1:], spec.k, spec.stride, 0, InvalidShape)
-        return (in_shape[0], *dims)
+        return (in_shape[0], *_window_dims(spec, in_shape[1:], spec.k, spec.stride, 0))
     if isinstance(spec, Dense):
+        if min(spec.n_in, spec.n_out) < 1:
+            raise BadSpec(f"bad Dense spec {spec}")
         if len(in_shape) != 1 or in_shape[0] != spec.n_in:
             raise InvalidShape(f"Dense({spec.n_in}) cannot take input {in_shape}")
         return (spec.n_out,)
     if isinstance(spec, (ReLU, Sigmoid)):
         return in_shape
     if isinstance(spec, Flatten):
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
     if isinstance(spec, Reshape):
-        if int(np.prod(in_shape)) != int(np.prod(spec.shape)):
+        if math.prod(in_shape) != math.prod(spec.shape):
             raise InvalidShape(f"cannot reshape {in_shape} into {spec.shape}")
         return tuple(spec.shape)
     if isinstance(spec, NearestUpsample2D):
+        if spec.factor < 1:
+            raise BadSpec(f"bad upsample factor {spec.factor}")
         if len(in_shape) != 3:
             raise InvalidShape(f"NearestUpsample2D needs CxHxW input, got {in_shape}")
         return (in_shape[0], in_shape[1] * spec.factor, in_shape[2] * spec.factor)
@@ -177,22 +186,14 @@ def _he_uniform(shape: tuple[int, ...], fan_in: int, seed: int, dtype) -> np.nda
 
 def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params | None:
     """He-uniform weights (U(-b, b), b = sqrt(6/fan_in)), zero biases; None
-    for a layer without parameters."""
+    for a layer without parameters. ``spec`` is one :func:`output_shape` accepts."""
     if isinstance(spec, _CONV):
-        if min(spec.in_ch, spec.out_ch, spec.kernel, spec.stride) < 1 or spec.pad < 0:
-            raise BadSpec(f"bad {type(spec).__name__} spec {spec}")
         taps = (spec.kernel,) * spec.rank
         w = _he_uniform((spec.out_ch, spec.in_ch, *taps), spec.in_ch * math.prod(taps), seed, dtype)
         return Params(w, np.zeros(spec.out_ch, dtype=dtype))
     if isinstance(spec, Dense):
-        if min(spec.n_in, spec.n_out) < 1:
-            raise BadSpec(f"bad Dense spec {spec}")
         w = _he_uniform((spec.n_in, spec.n_out), spec.n_in, seed, dtype)
         return Params(w, np.zeros(spec.n_out, dtype=dtype))
-    if isinstance(spec, _POOL) and min(spec.k, spec.stride) < 1:
-        raise BadSpec(f"bad pool spec {spec}")
-    if isinstance(spec, NearestUpsample2D) and spec.factor < 1:
-        raise BadSpec(f"bad upsample factor {spec.factor}")
     return None
 
 
@@ -217,13 +218,14 @@ def _patches(buf: np.ndarray, k: int, padded: tuple, grid: tuple) -> np.ndarray:
 
 
 def forward(spec: LayerSpec, params: Params | None, x: np.ndarray):
-    """Returns (output, cache); cache feeds the matching backward call."""
+    """Returns (output, cache); cache feeds the matching backward call. ShapeMismatch
+    for a batch whose sample shape :func:`output_shape` rejects."""
+    try:
+        dims = output_shape(spec, x.shape[1:])[1:]
+    except InvalidShape as exc:
+        raise ShapeMismatch(f"batch {x.shape}: {exc}") from None
     if isinstance(spec, _CONV):
         r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
-        if x.ndim != r + 2 or x.shape[1] != spec.in_ch:
-            name = type(spec).__name__
-            raise ShapeMismatch(f"{name} expected (N, {spec.in_ch}, {r} dims), got {x.shape}")
-        dims = _window_dims(spec, x.shape[2:], k, s, p, ShapeMismatch)
         padded = tuple(n + 2 * p for n in x.shape[2:])
         grid = (padded[0] - k + 1, *padded[1:])  # stride-1 outputs over whole padded rows
         # the last taps' slices run up to a row - 1 past the padded input
@@ -233,18 +235,12 @@ def forward(spec: LayerSpec, params: Params | None, x: np.ndarray):
         out = out.reshape(*out.shape[:2], *grid)[_taps(1, s, dims)[0]]
         return out + params.bias[(slice(None),) + (None,) * r], (x.shape, buf, padded, grid)
     if isinstance(spec, _POOL):
-        if x.ndim != spec.rank + 2:
-            name = type(spec).__name__
-            raise ShapeMismatch(f"{name} expected {spec.rank + 2}-d input, got {x.shape}")
-        dims = _window_dims(spec, x.shape[2:], spec.k, spec.stride, 0, ShapeMismatch)
         taps = _taps(spec.k, spec.stride, dims)
         y = x[taps[0]].copy()
         for tap in taps[1:]:
             np.maximum(y, x[tap], out=y)
         return y, (x, y)
     if isinstance(spec, Dense):
-        if x.ndim != 2 or x.shape[1] != spec.n_in:
-            raise ShapeMismatch(f"Dense expected (N,{spec.n_in}), got {x.shape}")
         return x @ params.weight + params.bias, x
     if isinstance(spec, ReLU):
         return np.maximum(x, 0), x > 0
@@ -257,8 +253,6 @@ def forward(spec: LayerSpec, params: Params | None, x: np.ndarray):
     if isinstance(spec, Reshape):
         return x.reshape((x.shape[0],) + tuple(spec.shape)), x.shape
     if isinstance(spec, NearestUpsample2D):
-        if x.ndim != 4:
-            raise ShapeMismatch(f"NearestUpsample2D expected 4-d input, got {x.shape}")
         f = spec.factor
         return x.repeat(f, axis=2).repeat(f, axis=3), x.shape
     raise BadSpec(f"unknown layer spec {spec!r}")

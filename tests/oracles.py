@@ -160,6 +160,26 @@ def oracle_metrics(probs, labels, threshold=0.5):
     return {"accuracy": accuracy, "f1": f1, "auc": auc, "tp": tp, "fp": fp, "tn": tn, "fn": fn}
 
 
+def oracle_average_ranks(values):
+    """1-based ranks by a stable sort and a walk over runs of equal values; a
+    NaN equals nothing, so each is its own run, in index order after every number."""
+    def key(i):
+        v = float(values[i])
+        return (1, 0.0) if v != v else (0, v)  # NaN sorts last
+
+    order = sorted(range(len(values)), key=key)  # sorted() is stable
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def oracle_conv(x, w, b, stride, pad, grad_out):
     """Cross-correlation with zero padding, and its gradients, by loop nest.
 

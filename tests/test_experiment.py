@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import re
 import shutil
@@ -41,7 +43,8 @@ from candlekit.experiment import (
 from candlekit.labeling import LabelerParams
 from candlekit.models import ModelConfig, TrainConfig, build_model
 from candlekit.nn import arrays_to_bytes, load_arrays
-from candlekit.market_data import SynthParams, synth_series, window, write_csv
+from candlekit import market_data
+from candlekit.market_data import MAX_SYNTH_N, SynthParams, synth_series, window, write_csv
 from candlekit.patterns import Direction, PatternKind, PatternMatch, PatternRuleParams
 from candlekit.raster import (
     RasterImage, RenderSpec, read_ppm, render_pattern, render_window, resize_nearest, write_ppm,
@@ -112,6 +115,10 @@ class TestManifest:
     def test_requires_master_seed(self):
         with pytest.raises(ManifestError):
             manifest_from_dict({"datasets": [], "arms": []})
+
+    def test_synth_n_above_the_bound_fails_at_load(self, tmp_path):
+        with pytest.raises(ManifestError, match=f"n in \\[1, {MAX_SYNTH_N}\\]"):
+            manifest(tmp_path, datasets=[{"name": "a", "synth": {"n": MAX_SYNTH_N + 1}}])
 
     def test_unique_dataset_names(self, tmp_path):
         doc = {
@@ -933,6 +940,114 @@ class TestCli:
         with pytest.raises(SourceNotFound):
             load_arrays(tmp_path / path)
 
+    @pytest.mark.parametrize("command", ["detect", "render"])
+    def test_synth_above_the_bound_is_rejected_before_any_candle(self, tmp_path, monkeypatch,
+                                                                 capsys, command):
+        def no_candles(*args, **kwargs):
+            raise AssertionError("a candle was generated")
+
+        monkeypatch.setattr(market_data, "Rng", no_candles)
+        argv = [command, "--synth", str(MAX_SYNTH_N + 1)]
+        assert cli_main(argv + (["--out", str(tmp_path / "x.ppm")] if command == "render" else [])) == 2
+        assert capsys.readouterr().err.startswith(f"error: n must be in [1, {MAX_SYNTH_N}]")
+
+    @pytest.mark.parametrize("env, row", [
+        ({"master_seed": "x"}, {}),
+        ({}, {"metrics": {"accuracy": True, "f1": 0.4, "auc": None}}),
+        ({}, {"n_test": 2.0}),
+    ], ids=["master-seed-string", "metric-bool", "count-float"])
+    def test_report_rejects_mistyped_numbers(self, tmp_path, capsys, env, row):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"rows": [REPORT_ROW | row], "environment": REPORT_ENV | env}))
+        assert cli_main(["report", "--report-json", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+REPORT_ROW = {
+    "dataset": "a", "arm": "non_pattern", "model": "mini_cnn", "include_pattern": False,
+    "status": "ok", "metrics": {"accuracy": 0.5, "f1": 0.4, "auc": None},
+    "n_samples": 10, "n_train": 7, "n_val": 1, "n_test": 2, "class_balance": {"strong": 4, "weak": 6},
+}
+REPORT_ENV = {"version": "0", "python": "3", "numpy": "2", "master_seed": 0}
+# Integers around each flag's bounds; --synth keeps to sizes that build in milliseconds.
+CLI_INTS = st.integers(-3, 40) | st.sampled_from([-2**64, 2**63, 2**64, 10**30])
+CLI_SYNTH = st.integers(-3, 40) | st.sampled_from([-10**30, 2000])
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Small inputs for the argv property, good and bad: manifests, CSVs, PPMs and reports."""
+    d = tmp_path_factory.mktemp("cli")
+    model = {**BASE_DOC["model"], "window": 12, "subchart_k": 4}
+    for name, text in {
+        "man.json": json.dumps(dict(BASE_DOC, output_dir=str(d / "out"), model=model)),
+        "huge_synth.json": json.dumps(dict(BASE_DOC, datasets=[{"name": "a", "synth": {"n": MAX_SYNTH_N + 1}}])),
+        "bad.json": "{not json",
+        "tiny.csv": write_csv(synth_series(3, 3)),
+        "header.csv": "Date,Open,High,Low,Close\n",
+        "report.json": json.dumps({"rows": [REPORT_ROW], "environment": REPORT_ENV}),
+        "typo_report.json": json.dumps({"rows": [REPORT_ROW | {"n_val": "1"}], "environment": REPORT_ENV}),
+    }.items():
+        (d / name).write_text(text)
+    (d / "chart.ppm").write_bytes(write_ppm(render_window(window(synth_series(5, 12), 11, 8), RenderSpec())))
+    (d / "dot.ppm").write_bytes(write_ppm(RasterImage(np.full((1, 1, 3), 255, np.uint8))))
+    (d / "junk.ppm").write_bytes(b"P6\n9 9\n255\n\x00")
+    (d / "subs").mkdir()
+    return d
+
+
+@st.composite
+def cli_argvs(draw, d: Path) -> list[str]:
+    """argv for detect, render, decompose or report, each flag present or not."""
+    command = draw(st.sampled_from(["detect", "render", "decompose", "report"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend([flag, str(draw(values))])
+
+    def files(*names):
+        return st.sampled_from([str(d / n) for n in (*names, "missing")])
+
+    if command == "report":
+        argv += ["--report-json", draw(files("report.json", "typo_report.json", "bad.json", "man.json"))]
+        maybe("--out-dir", files("subs", "tiny.csv"))
+        return argv
+    maybe("--manifest", files("man.json", "huge_synth.json", "bad.json"))
+    if command == "decompose":
+        argv += ["--image", draw(files("chart.ppm", "dot.ppm", "junk.ppm")), "--out-dir", str(d / "subs")]
+        maybe("--k", CLI_INTS)
+        maybe("--stride", CLI_INTS)
+        return argv
+    maybe("--seed", CLI_INTS)
+    maybe("--synth", CLI_SYNTH)
+    maybe("--csv", files("tiny.csv", "header.csv"))
+    if command == "render":
+        maybe("--end-index", CLI_INTS)
+        maybe("--window", CLI_INTS)
+        argv += ["--out", str(d / "out.ppm")]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_every_cli_argv_exits_0_or_2(cli_files, data):
+    # argparse's own rejections exit 2 through SystemExit; any other exception is a bug
+    argv = data.draw(cli_argvs(cli_files))
+    (cli_files / "out.ppm").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    assert code == 0 or err.getvalue().startswith(("error:", "usage:"))
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "render" and code == 0:  # without --window, man.json's model window or the default
+        w = int(flags.get("--window", 12 if "--manifest" in flags else ModelSettings().window))
+        assert read_ppm((cli_files / "out.ppm").read_bytes()).width_px == RenderSpec().chart_width(w)
+
 
 @pytest.mark.parametrize("module", ["candlekit", "candlekit.nn"])
 def test_every_exported_name_resolves(module):
@@ -945,6 +1060,7 @@ def test_only_fileio_reads_files():
     # every input file goes through fileio.read_input, which maps each failure
     # to a CandlekitError; a second reader would map them its own way
     src = Path(__file__).resolve().parent.parent / "src" / "candlekit"
+    assert (src / "fileio.py").is_file()  # else the scan below passes on nothing
     call = re.compile(r"(\.read_bytes|\.read_text|\bopen)\(")
     readers = [
         f"{path.relative_to(src)}:{n}"
@@ -957,6 +1073,7 @@ def test_only_fileio_reads_files():
 def test_only_fileio_parses_json():
     # fileio.parse_json rejects a repeated key; a bare json.loads keeps the last
     src = Path(__file__).resolve().parent.parent / "src" / "candlekit"
+    assert (src / "fileio.py").is_file()  # else the scan below passes on nothing
     parsers = [
         f"{path.relative_to(src)}:{n}"
         for path in sorted(src.rglob("*.py")) if path.name != "fileio.py"

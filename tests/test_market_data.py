@@ -14,6 +14,7 @@ from candlekit import (
     window,
     write_csv,
 )
+from candlekit import market_data
 from candlekit.errors import (
     BadParams,
     BadRow,
@@ -23,6 +24,7 @@ from candlekit.errors import (
     OutOfRange,
 )
 
+from candlekit.market_data import MAX_SYNTH_N
 from conftest import make_series
 
 TOL = 1e-9
@@ -185,6 +187,14 @@ class TestSynthSeries:
             SynthParams(start_price=0.0)
         with pytest.raises(BadParams):
             SynthParams(wick_frac=1.0)
+
+    def test_n_above_the_bound_is_rejected_before_any_candle(self, monkeypatch):
+        def no_candles(*args, **kwargs):
+            raise AssertionError("a candle was generated")
+
+        monkeypatch.setattr(market_data, "Rng", no_candles)
+        with pytest.raises(BadParams, match=str(MAX_SYNTH_N)):
+            synth_series(1, MAX_SYNTH_N + 1)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**64 - 1))

@@ -24,13 +24,14 @@ from candlekit.errors import (
     InvalidShape,
     LengthMismatch,
     NonFiniteValue,
+    ShapeMismatch,
 )
 from candlekit import models
-from candlekit.models import _PREDICT_CHUNK, CAEModel, _fit
+from candlekit.models import _PREDICT_CHUNK, CAEModel, _average_ranks, _fit
 from candlekit.nn import Sequential, arrays_to_bytes, loss_mse
 from candlekit.rng import Rng
 
-from oracles import oracle_metrics
+from oracles import oracle_average_ranks, oracle_metrics
 
 SMALL_CFG = ModelConfig(
     variant="mini_cnn", input_shape=(3, 16, 16), block_widths=(4, 8), fc_dim=16, seed=3
@@ -91,6 +92,16 @@ class TestBuildModel:
         with pytest.raises(BadParams):
             ModelConfig(variant="perceptron")
 
+    @pytest.mark.parametrize("variant, n_streams", [
+        ("mini_cnn", 2), ("two_stream", 1), ("subchart", 2), ("subchart", 0),
+    ])
+    def test_forward_checks_its_input_tuple(self, variant, n_streams):
+        # every model checks the tuple of streams the same way
+        model = build_model(replace(TS_CFG, variant=variant, latent_dim=8, seq_len=6))
+        x = np.zeros((2, 6, 3, 16, 16) if variant == "subchart" else (2, 3, 16, 16), np.float32)
+        with pytest.raises(ShapeMismatch, match="takes a tuple"):
+            model.forward((x,) * n_streams)
+
     @pytest.mark.parametrize("variant, digest", [
         ("mini_cnn", "3c64c56a21e2a74a078401875dfdb5e4495b3218f3cf4366a8c5cad8e36ffa28"),
         ("two_stream", "5b284c7e08551fafa9b119053dff7396162aa44156d063c8681a8fbd77470130"),
@@ -143,6 +154,16 @@ class TestEvaluate:
         base = evaluate(probs, labels).auc
         squeezed = evaluate(0.001 + 0.5 * probs**3, labels).auc
         assert base == pytest.approx(squeezed, abs=1e-12)
+
+    def test_average_ranks_match_the_loop(self):
+        # ties share their mean rank, and NaNs rank last in index order, bit for bit
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            values = np.round(rng.random(n), int(rng.integers(0, 3)))
+            values[rng.random(n) < 0.1] = np.nan
+            values[rng.random(n) < 0.05] = np.inf
+            assert _average_ranks(values).tolist() == oracle_average_ranks(values.tolist())
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)

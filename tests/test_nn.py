@@ -12,6 +12,7 @@ from oracles import oracle_conv, oracle_maxpool, oracle_optimizer, oracle_upsamp
 
 from candlekit import nn
 from candlekit.errors import (
+    BadSpec,
     CandlekitError,
     CorruptCheckpoint,
     InvalidShape,
@@ -62,6 +63,21 @@ class TestShapeLaw:
         ]:
             with pytest.raises(InvalidShape):
                 nn.output_shape(spec, in_shape)
+
+    @pytest.mark.parametrize("spec, in_shape", [
+        (nn.Conv2D(3, 8, 3, stride=0), (3, 8, 8)),
+        (nn.MaxPool2D(2, 0), (3, 8, 8)),
+        (nn.Conv1D(3, 8, 0), (3, 8)),
+        (nn.Conv2D(3, 8, 3, pad=-1), (3, 8, 8)),
+        (nn.MaxPool1D(0, 2), (3, 8)),
+        (nn.Dense(0, 2), (0,)),
+        (nn.NearestUpsample2D(0), (3, 4, 4)),
+    ], ids=["conv2d-stride-0", "maxpool2d-stride-0", "conv1d-kernel-0", "conv2d-pad-negative",
+            "maxpool1d-k-0", "dense-n_in-0", "upsample-factor-0"])
+    def test_bad_spec_sizes_fail_at_build(self, spec, in_shape):
+        # the spec is checked before the shape law divides by its stride
+        with pytest.raises(BadSpec):
+            nn.Sequential([spec], in_shape, seed=0)
 
 
 class TestInit:
@@ -150,6 +166,16 @@ class TestForward:
         spec = nn.Dense(3, 2)
         with pytest.raises(ShapeMismatch):
             nn.forward(spec, nn.init_params(spec, 0), np.zeros((1, 4), dtype=np.float32))
+
+    @pytest.mark.parametrize("spec, shape", [
+        (nn.Reshape((5,)), (2, 4)),
+        (nn.NearestUpsample2D(2), (2, 3, 4)),
+        (nn.MaxPool2D(2, 2), (1, 3, 1, 8)),
+        (nn.Conv1D(3, 4, 3), (2, 3, 2)),
+    ], ids=["reshape-wrong-size", "upsample-3d", "pool-too-small", "conv-too-small"])
+    def test_batch_the_shape_law_rejects(self, spec, shape):
+        with pytest.raises(ShapeMismatch):
+            nn.forward(spec, nn.init_params(spec, 0), np.zeros(shape, dtype=np.float32))
 
     def test_dense_weight_gradient_outer_product(self):
         spec = nn.Dense(2, 3)
