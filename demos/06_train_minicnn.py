@@ -24,7 +24,7 @@ for e in report.entries:
 
 labels = list(ts.labels.copy())
 Rng(derive_seed(202, "shuffle-labels")).shuffle(labels)
-shuffled = TrainingSet(inputs=ts.inputs, labels=np.asarray(labels, dtype=np.float32), order=ts.order)
+shuffled = TrainingSet(history=ts.history, labels=np.asarray(labels, dtype=np.float32), order=ts.order)
 
 print("\nshuffled labels (no signal):")
 report = train(MiniCNN(cfg), shuffled, tc)

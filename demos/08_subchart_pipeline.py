@@ -23,7 +23,7 @@ manifest = manifest_from_dict(
 
 ddir = build_dataset(manifest, "walk")
 ds = assemble_subchart_dataset([ddir], (16, 16), manifest.render_spec)
-n, s = ds.inputs.shape[:2]
+n, s = ds.subcharts.shape[:2]
 print(f"dataset: {n} samples x {s} sub-charts each")
 
 cfg = ModelConfig(variant="subchart", input_shape=(3, 16, 16), block_widths=(4, 8), latent_dim=16,
@@ -38,11 +38,11 @@ for i, mse in enumerate(report.cae_mse):
            else "full pass, after training" if i == last else "minibatch mean")
     print(f"  epoch {i}: {mse:.4f} ({tag})")
 
-print(f"\nencoded sequences: {model.encode(ds.inputs[:1]).shape[1:]} per sample")
+print(f"\nencoded sequences: {model.encode(ds.subcharts[:1]).shape[1:]} per sample")
 print("phase 2 (CNN1D on latent sequences):")
 for e in report.entries:
     loss = "  (init)" if e.train_loss is None else f"loss {e.train_loss:.4f}"
     print(f"  epoch {e.epoch:>2}  {loss}  val acc {e.val_accuracy:.3f}")
 
-probs = predict(model, (ds.inputs[-5:],))
+probs = predict(model, (ds.subcharts[-5:],))
 print(f"\nlast 5 charts, from raw sub-charts: p(strong) = {[round(float(p), 3) for p in probs]}")

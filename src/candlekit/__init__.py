@@ -44,7 +44,6 @@ from .models import (
     MiniCNN,
     Model,
     ModelConfig,
-    SubchartDataset,
     TrainConfig,
     TrainingSet,
     TrainReport,
@@ -96,7 +95,6 @@ __all__ = [
     "RenderSpec",
     "Series",
     "StrengthLabel",
-    "SubchartDataset",
     "SynthParams",
     "TrainConfig",
     "TrainReport",

@@ -25,7 +25,7 @@ from .decompose import subchart_spans
 from .errors import EmptyDataset, ManifestError, ShapeMismatch
 from .fileio import parse_json, read_input
 from .market_data import Candle, CandleWindow
-from .models import SubchartDataset, TrainingSet
+from .models import TrainingSet
 from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window
 from .rng import Rng, derive_seed
 
@@ -112,15 +112,15 @@ def assemble_training_set(
     pattern_hw: tuple[int, int],
     include_pattern: bool,
 ) -> TrainingSet:
-    """Load one or more dataset directories into training arrays.
+    """A training set of the ``history`` stream, and of ``pattern`` if ``include_pattern``.
 
     Multiple directories form a merged dataset: samples keep a member id so
     the chronological split stays within each member.
     """
     pairs, labels, order, member = _read_rows(dataset_dirs)
-    inputs = _gather(pairs, "history_image_path", hist_hw, _whole)[:, 0]
+    history = _gather(pairs, "history_image_path", hist_hw, _whole)[:, 0]
     pattern = _gather(pairs, "pattern_image_path", pattern_hw, _whole)[:, 0] if include_pattern else None
-    return TrainingSet(inputs=inputs, labels=labels, order=order, pattern=pattern, member=member)
+    return TrainingSet(labels=labels, order=order, history=history, pattern=pattern, member=member)
 
 
 def assemble_subchart_dataset(
@@ -129,12 +129,13 @@ def assemble_subchart_dataset(
     render_spec: RenderSpec,
     k: int = 3,
     stride: int = 1,
-) -> SubchartDataset:
-    """History charts cut into (N, S, 3, h, w) k-candle sub-charts; ShapeMismatch if S varies."""
+) -> TrainingSet:
+    """A training set whose ``subcharts`` stream holds the history charts cut into
+    (N, S, 3, h, w) k-candle sub-charts; ShapeMismatch if S varies."""
     pairs, labels, order, member = _read_rows(dataset_dirs)
-    out = _gather(pairs, "history_image_path", sub_hw,
-                  lambda img: subchart_spans(img, render_spec, k=k, stride=stride))
-    return SubchartDataset(inputs=out, labels=labels, order=order, member=member)
+    subcharts = _gather(pairs, "history_image_path", sub_hw,
+                        lambda img: subchart_spans(img, render_spec, k=k, stride=stride))
+    return TrainingSet(labels=labels, order=order, subcharts=subcharts, member=member)
 
 
 def _candle(t: int, level: float, crange: float, body_frac: float, bullish: bool) -> Candle:
@@ -186,8 +187,4 @@ def planted_signal_set(
     median = float(np.median(fracs))
     labels = np.asarray([1.0 if f > median else 0.0 for f in fracs], dtype=np.float32)
     images = np.stack([image_to_array(render_window(w, spec)) for w in windows])
-    return TrainingSet(
-        inputs=images,
-        labels=labels,
-        order=np.arange(n_samples, dtype=np.int64),
-    )
+    return TrainingSet(labels=labels, order=np.arange(n_samples, dtype=np.int64), history=images)

@@ -1,13 +1,12 @@
 """End-to-end experiment orchestration.
 
 A JSON manifest names datasets (CSV files, synthetic generator specs, or
-merges of other entries), a list of arms (a model variant; only
-``two_stream`` is fed the pattern stream), and the shared
-pattern/labeler/render/train/model configuration. One master seed expands
-into per-stage sub-seeds via ``derive_seed(master, tag)``, so every output
-byte (dataset images, checkpoints, report.json) is a pure function of
-(manifest, master seed), and rebuilding without changes rewrites identical
-files.
+merges of other entries), a list of arms (a model variant, fed the streams
+its class ``reads``), and the shared pattern/labeler/render/train/model
+configuration. One master seed expands into per-stage sub-seeds via
+``derive_seed(master, tag)``, so every output byte (dataset images,
+checkpoints, report.json) is a pure function of (manifest, master seed),
+and rebuilding without changes rewrites identical files.
 
 In the pattern arm the pattern stream always receives the ground-truth
 rendered crop, during training and evaluation alike, never the output of
@@ -39,8 +38,10 @@ from .fileio import parse_json, read_input, write_atomic
 from .labeling import LabelerParams, build_samples
 from .market_data import MAX_SYNTH_N, Series, SynthParams, parse_csv, synth_series
 from .models import (
+    MODELS,
     VARIANTS as ARM_MODELS,
     EvalReport,
+    MiniCNN,
     Model,
     ModelConfig,
     TrainConfig,
@@ -109,20 +110,20 @@ class DatasetSpec:
 @dataclass(frozen=True)
 class ArmSpec:
     """A path-safe name and a known model kind, checked when built; ``include_pattern``
-    follows the model (only two_stream reads the pattern stream), and a given one must agree."""
+    follows the model (whether its class reads the pattern stream), and a given one must agree."""
 
     arm_name: str
-    model: str = "mini_cnn"
+    model: str = MiniCNN.variant
     include_pattern: bool | None = None
 
     def __post_init__(self) -> None:
         _check_name(self.arm_name, "arm")
         if self.model not in ARM_MODELS:
             raise ManifestError(f"arm model must be one of {ARM_MODELS}, got {self.model!r}")
-        reads = self.model == "two_stream"
+        reads = "pattern" in MODELS[self.model].reads
         if self.include_pattern not in (None, reads):
-            raise ManifestError(f"arm {self.arm_name!r} include_pattern must be {reads} "
-                                f"for model {self.model!r}: only two_stream reads the pattern stream")
+            raise ManifestError(f"arm {self.arm_name!r} include_pattern must be {reads} for model "
+                                f"{self.model!r}, which reads {MODELS[self.model].reads}")
         object.__setattr__(self, "include_pattern", reads)
 
 
@@ -164,7 +165,7 @@ class ModelSettings:
 
     def model_config(self, variant: str, seed: int = 0) -> ModelConfig:
         """``variant``'s model config; the subchart arm's input is one sub-chart, ``seq_len`` of them per chart."""
-        hw = self.subchart_hw if variant == "subchart" else self.hist_hw
+        hw = self.subchart_hw if "subcharts" in MODELS[variant].reads else self.hist_hw
         return ModelConfig(
             variant=variant, input_shape=(3, *hw), block_widths=self.block_widths, fc_dim=self.fc_dim,
             pattern_shape=(3, *self.pattern_hw), pattern_widths=self.pattern_widths,
@@ -380,10 +381,10 @@ def _arm_row(ds_name: str, arm: ArmSpec, error: str | None = None, **fields) -> 
 
 
 def _assemble(man: ExperimentManifest, dirs: dict[str, Path], ds_name: str, arm: ArmSpec):
-    """The arm's ``TrainingSet`` or ``SubchartDataset``, read from ``ds_name``'s member dirs."""
+    """The ``TrainingSet`` of the streams the arm's model reads, from ``ds_name``'s member dirs."""
     ms = man.model_settings
     member_dirs = [dirs[m] for m in _members(man, ds_name)]
-    if arm.model == "subchart":
+    if "subcharts" in MODELS[arm.model].reads:
         return assemble_subchart_dataset(
             member_dirs, ms.subchart_hw, man.render_spec, k=ms.subchart_k, stride=ms.subchart_stride
         )

@@ -1,9 +1,11 @@
 """Model zoo: MiniCNN, two-stream CNN, the Decomposer, training, and metrics.
 
 Every arm's model is a :class:`Model`, which :func:`build_model`,
-:func:`train` and :func:`predict` handle alike; ``forward`` takes a tuple of
-arrays, one per input stream. Each model class declares its layers once,
-in ``stacks(cfg)``: one (layer specs, input shape, seed tag) entry per
+:func:`train` and :func:`predict` handle alike. Each model class names the
+:class:`TrainingSet` streams it reads, in ``reads``, and its ``forward``
+takes a tuple of those arrays in that order; :func:`batch_inputs` is the one
+place that fetches them. Each class also declares its layers once, in
+``stacks(cfg)``: one (layer specs, input shape, seed tag) entry per
 ``Sequential``, in checkpoint order. :func:`check_shapes` walks those
 stacks without building weights, so a config can be checked before use.
 
@@ -18,8 +20,8 @@ mirrors back up with nearest-neighbor upsampling), and its CNN1D classifies
 the chart's sequence of latent vectors with half the MiniCNN block count
 (rounded up).
 
-Splits are chronological by default: samples sorted by their series index,
-train first, validation next, test last, so there is no look-ahead
+There is one split, and it is chronological: samples sorted by their series
+index, train first, validation next, test last, so there is no look-ahead
 leakage. Merged datasets split chronologically within each member and
 concatenate the partitions.
 """
@@ -61,8 +63,6 @@ from .nn import (
 )
 from .rng import Rng, derive_seed
 
-VARIANTS = ("mini_cnn", "two_stream", "subchart")
-
 # Rows per forward-only pass: at 256 a conv's patch matrix reached 8-30 MB and ran slower per image.
 _PREDICT_CHUNK = 64
 
@@ -98,7 +98,6 @@ class TrainConfig:
     seed: int = 0
     train_frac: float = 0.7
     val_frac: float = 0.15
-    chronological: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -117,24 +116,20 @@ class TrainConfig:
 
 @dataclass
 class TrainingSet:
-    """Arrays for one classification run; ``pattern`` only for two-stream."""
+    """Labels, series order, member ids and input streams for one classification run: ``history``
+    charts, ``pattern`` crops, (N, S, C, H, W) ``subcharts`` stacks, or a Decomposer's encoded
+    (N, latent_dim, S) ``codes``. A model reads the streams its class names in ``reads``."""
 
-    inputs: np.ndarray
     labels: np.ndarray
     order: np.ndarray
+    history: np.ndarray | None = None
     pattern: np.ndarray | None = None
+    subcharts: np.ndarray | None = None
+    codes: np.ndarray | None = None
     member: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return int(self.inputs.shape[0])
-
-
-class SubchartDataset(TrainingSet):
-    """A training set whose ``inputs`` are per-sample (N, S, C, H, W) stacks of sub-chart images."""
-
-    @property
-    def subcharts(self) -> np.ndarray:
-        return self.inputs
+        return int(self.labels.shape[0])
 
 
 def _tower_specs(in_shape: tuple[int, ...], widths: tuple[int, ...]) -> tuple[list, int]:
@@ -158,16 +153,16 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Model:
-    """What every arm's model offers: ``forward`` over a tuple of ``streams`` input arrays, and
-    ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a ``Sequential``.
+    """What every arm's model offers: ``forward`` over a tuple of one array per stream in ``reads``,
+    and ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a ``Sequential``.
     Every ``forward`` first passes its input to ``_checked_inputs``, the one check of that tuple."""
 
-    streams = 1
+    reads: tuple[str, ...]
 
     def _checked_inputs(self, inputs) -> tuple[np.ndarray, ...]:
-        """``inputs`` if it is a tuple of ``streams`` arrays; ShapeMismatch otherwise."""
-        if not isinstance(inputs, tuple) or len(inputs) != self.streams:
-            raise ShapeMismatch(f"{type(self).__name__} takes a tuple of {self.streams} arrays")
+        """``inputs`` if it is a tuple of one array per stream in ``reads``; ShapeMismatch otherwise."""
+        if not isinstance(inputs, tuple) or len(inputs) != len(self.reads):
+            raise ShapeMismatch(f"{type(self).__name__} takes a tuple of {len(self.reads)} arrays")
         return inputs
 
     def trainable(self):
@@ -178,7 +173,7 @@ class Model:
 
 class TowerModel(Model):
     """One ``Sequential`` per entry of the class's ``stacks(cfg)``: the first
-    ``streams`` are towers, one per input stream, and any further one is the head.
+    ones are towers, one per stream in ``reads``, and any further one is the head.
 
     A single-unit output comes back as ``(N,)``. Checkpoint order is the
     towers in turn, then the head.
@@ -188,8 +183,9 @@ class TowerModel(Model):
         self.cfg = cfg
         self.parts = tuple(Sequential(specs, shape, derive_seed(cfg.seed, tag))
                            for specs, shape, tag in self.stacks(cfg))
-        self.towers = self.parts[: self.streams]
-        self.head = self.parts[self.streams] if len(self.parts) > self.streams else None
+        n = len(self.reads)
+        self.towers = self.parts[:n]
+        self.head = self.parts[n] if len(self.parts) > n else None
         self.output_shape = self.parts[-1].output_shape
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
@@ -219,6 +215,7 @@ def _dense_head(n_in: int, fc_dim: int) -> list:
 
 class MiniCNN(TowerModel):
     variant = "mini_cnn"
+    reads = ("history",)
 
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
@@ -228,7 +225,7 @@ class MiniCNN(TowerModel):
 
 class TwoStream(TowerModel):
     variant = "two_stream"
-    streams = 2
+    reads = ("history", "pattern")
 
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
@@ -243,6 +240,8 @@ class TwoStream(TowerModel):
 
 
 class CAEModel(TowerModel):
+    reads = ("crops",)  # one sub-chart per row, fed by the Decomposer, not from a TrainingSet
+
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
         c, h, w = cfg.input_shape
@@ -271,6 +270,7 @@ class CAEModel(TowerModel):
 
 class CNN1DModel(TowerModel):
     variant = "cnn1d"
+    reads = ("codes",)
 
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
@@ -292,6 +292,7 @@ class Decomposer(Model):
     """
 
     variant = "subchart"
+    reads = ("subcharts",)
 
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
@@ -318,18 +319,19 @@ def _chunks(arrays: tuple[np.ndarray, ...]):
         yield tuple(x[i : i + _PREDICT_CHUNK] for x in arrays)
 
 
-_CLASSES = {cls.variant: cls for cls in (MiniCNN, TwoStream, Decomposer)}
+MODELS = {cls.variant: cls for cls in (MiniCNN, TwoStream, Decomposer)}
+VARIANTS = tuple(MODELS)
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    return _CLASSES[cfg.variant](cfg)
+    return MODELS[cfg.variant](cfg)
 
 
 def check_shapes(cfg: ModelConfig) -> None:
     """InvalidShape, naming the variant, unless :func:`build_model` can chain
     every stack of ``cfg``'s model; builds no weights."""
     try:
-        for specs, shape, _tag in _CLASSES[cfg.variant].stacks(cfg):
+        for specs, shape, _tag in MODELS[cfg.variant].stacks(cfg):
             _chain_shape(specs, shape)
     except (InvalidShape, ShapeMismatch) as exc:
         raise InvalidShape(f"{cfg.variant} model: {exc}") from exc
@@ -374,12 +376,14 @@ def evaluate(probs, labels, threshold: float = 0.5) -> EvalReport:
 
     AUC gives half credit to ties and is None when the labels hold a
     single class; the other metrics are still reported in that case.
-    Positive prediction iff prob >= threshold.
+    Positive prediction iff prob >= threshold; NonFiniteValue for a NaN or inf prob.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
     if probs.shape != labels.shape or probs.ndim != 1 or len(probs) == 0:
         raise LengthMismatch(f"probs {probs.shape} vs labels {labels.shape}")
+    if not np.isfinite(probs).all():
+        raise NonFiniteValue("probabilities must be finite")
     pos = labels.astype(np.float64) == 1.0
     pred = probs >= threshold
     tp = int(np.sum(pred & pos))
@@ -401,12 +405,11 @@ def evaluate(probs, labels, threshold: float = 0.5) -> EvalReport:
     )
 
 
-def batch_inputs(model: Model, ts: TrainingSet, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The rows ``idx`` of the first ``model.streams`` streams of ``ts``."""
-    streams = (ts.inputs, ts.pattern)[: model.streams]
-    if any(s is None for s in streams):
-        raise ShapeMismatch(f"{type(model).__name__} needs a pattern stream in the training set")
-    return tuple(s[idx] for s in streams)
+def batch_inputs(model: Model, ts: TrainingSet, idx: np.ndarray | slice) -> tuple[np.ndarray, ...]:
+    """The rows ``idx`` of each stream ``model`` reads; ShapeMismatch naming those ``ts`` lacks."""
+    if missing := [name for name in model.reads if getattr(ts, name, None) is None]:
+        raise ShapeMismatch(f"{type(model).__name__} reads streams the training set lacks: {missing}")
+    return tuple(getattr(ts, name)[idx] for name in model.reads)
 
 
 def predict(model: Model, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -422,20 +425,16 @@ def split_indices(
     member: np.ndarray | None,
     tc: TrainConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Train/val/test index arrays; chronological within each member."""
+    """Train/val/test index arrays, the one split: within each member, in ``order`` (ties in row
+    order), the first ``train_frac`` train, the next ``val_frac`` validate and the rest test."""
     n = len(order)
     members = member if member is not None else np.zeros(n, dtype=np.int64)
     train: list[int] = []
     val: list[int] = []
     test: list[int] = []
-    shuffler = Rng(derive_seed(tc.seed, "split-shuffle"))
     for m in np.unique(members):
         idx = np.nonzero(members == m)[0]
         idx = idx[np.argsort(order[idx], kind="stable")]
-        if not tc.chronological:
-            idx = list(idx)
-            shuffler.shuffle(idx)
-            idx = np.asarray(idx)
         k = len(idx)
         n_train = int(k * tc.train_frac)
         n_val = int(k * tc.val_frac)
@@ -539,15 +538,15 @@ def _train_cae(model: Decomposer, ts: TrainingSet, tc: TrainConfig) -> tuple[Tra
     that one encode of every sample), each epoch's mean minibatch MSE between.
     """
     tr, _va, _te = split_indices(ts.order, ts.member, tc)
-    cae, stacks = model.cae, ts.inputs
+    cae, (stacks,) = model.cae, batch_inputs(model, ts, slice(None))
     crops = stacks.reshape((-1,) + stacks.shape[2:])
     rows = np.arange(len(crops)).reshape(stacks.shape[:2])[tr].ravel()  # training samples' crops
     latent = np.concatenate([cae.encode(crops[r]) for (r,) in _chunks((rows,))])
     epoch_mse = [_recon_mse(cae, latent, crops, rows)]
     epoch_mse += _fit(cae, (crops,), crops, rows, loss_mse, tc, "cae-shuffle")
 
-    encoded = TrainingSet(inputs=model.encode(stacks), labels=ts.labels, order=ts.order, member=ts.member)
+    encoded = TrainingSet(codes=model.encode(stacks), labels=ts.labels, order=ts.order, member=ts.member)
     if tc.epochs:
-        latent = encoded.inputs[tr].transpose(0, 2, 1).reshape(-1, cae.cfg.latent_dim)
+        latent = encoded.codes[tr].transpose(0, 2, 1).reshape(-1, cae.cfg.latent_dim)
         epoch_mse[-1] = _recon_mse(cae, latent, crops, rows)
     return encoded, epoch_mse

@@ -122,26 +122,30 @@ def _window_dims(spec, spatial: tuple[int, ...], k: int, s: int, p: int) -> tupl
     return dims
 
 
+def _check_spec(spec: LayerSpec) -> None:
+    """BadSpec unless ``spec`` is a known layer whose sizes are at least 1 (a conv's ``pad`` at least 0)."""
+    if not isinstance(spec, LayerSpec):
+        raise BadSpec(f"unknown layer spec {spec!r}")
+    low = [k for k, v in vars(spec).items() if not isinstance(v, tuple) and v < (0 if k == "pad" else 1)]
+    if low:
+        raise BadSpec(f"bad {type(spec).__name__} spec {spec}: {', '.join(low)} too small")
+
+
 def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Per-sample output shape (batch dim excluded); BadSpec for sizes the spec
     itself gets wrong, then InvalidShape for an input it cannot take."""
+    _check_spec(spec)
     if isinstance(spec, _CONV):
-        if min(spec.in_ch, spec.out_ch, spec.kernel, spec.stride) < 1 or spec.pad < 0:
-            raise BadSpec(f"bad {type(spec).__name__} spec {spec}")
         if len(in_shape) != spec.rank + 1 or in_shape[0] != spec.in_ch:
             name = type(spec).__name__
             raise InvalidShape(f"{name}({spec.in_ch}ch) cannot take input {in_shape}")
         return (spec.out_ch, *_window_dims(spec, in_shape[1:], spec.kernel, spec.stride, spec.pad))
     if isinstance(spec, _POOL):
-        if min(spec.k, spec.stride) < 1:
-            raise BadSpec(f"bad pool spec {spec}")
         if len(in_shape) != spec.rank + 1:
             name = type(spec).__name__
             raise InvalidShape(f"{name} needs C and {spec.rank} spatial dims, got {in_shape}")
         return (in_shape[0], *_window_dims(spec, in_shape[1:], spec.k, spec.stride, 0))
     if isinstance(spec, Dense):
-        if min(spec.n_in, spec.n_out) < 1:
-            raise BadSpec(f"bad Dense spec {spec}")
         if len(in_shape) != 1 or in_shape[0] != spec.n_in:
             raise InvalidShape(f"Dense({spec.n_in}) cannot take input {in_shape}")
         return (spec.n_out,)
@@ -153,13 +157,9 @@ def output_shape(spec: LayerSpec, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if math.prod(in_shape) != math.prod(spec.shape):
             raise InvalidShape(f"cannot reshape {in_shape} into {spec.shape}")
         return tuple(spec.shape)
-    if isinstance(spec, NearestUpsample2D):
-        if spec.factor < 1:
-            raise BadSpec(f"bad upsample factor {spec.factor}")
-        if len(in_shape) != 3:
-            raise InvalidShape(f"NearestUpsample2D needs CxHxW input, got {in_shape}")
-        return (in_shape[0], in_shape[1] * spec.factor, in_shape[2] * spec.factor)
-    raise BadSpec(f"unknown layer spec {spec!r}")
+    if len(in_shape) != 3:  # NearestUpsample2D, the one spec left
+        raise InvalidShape(f"NearestUpsample2D needs CxHxW input, got {in_shape}")
+    return (in_shape[0], in_shape[1] * spec.factor, in_shape[2] * spec.factor)
 
 
 class Params:
@@ -186,7 +186,9 @@ def _he_uniform(shape: tuple[int, ...], fan_in: int, seed: int, dtype) -> np.nda
 
 def init_params(spec: LayerSpec, seed: int, dtype=np.float32) -> Params | None:
     """He-uniform weights (U(-b, b), b = sqrt(6/fan_in)), zero biases; None
-    for a layer without parameters. ``spec`` is one :func:`output_shape` accepts."""
+    for a layer without parameters. BadSpec, as from :func:`output_shape`, for a
+    spec whose own sizes are wrong."""
+    _check_spec(spec)
     if isinstance(spec, _CONV):
         taps = (spec.kernel,) * spec.rank
         w = _he_uniform((spec.out_ch, spec.in_ch, *taps), spec.in_ch * math.prod(taps), seed, dtype)

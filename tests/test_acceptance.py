@@ -228,7 +228,7 @@ def test_6_learning_sanity_planted_signal():
         shuffled = list(ts.labels.copy())
         Rng(derive_seed(202, "shuffle-labels")).shuffle(shuffled)
         ts_shuffled = TrainingSet(
-            inputs=ts.inputs,
+            history=ts.history,
             labels=np.asarray(shuffled, dtype=np.float32),
             order=ts.order,
         )
@@ -287,8 +287,8 @@ def test_7_cae_objective(tmp_path):
         report = train(model, ds, TrainConfig(epochs=2, batch_size=32, seed=21))
         first, last = report.cae_mse[0], report.cae_mse[-1]
         assert last <= 0.5 * first, f"MSE {first} -> {last}"
-        n = ds.inputs.shape[0]
-        encoded_shape = model.encode(ds.inputs).shape
+        n = ds.subcharts.shape[0]
+        encoded_shape = model.encode(ds.subcharts).shape
         assert encoded_shape == (n, 16, 28)
         print(f"  MSE {first:.4f} -> {last:.4f}, encoded {encoded_shape}", end=" ")
 

@@ -42,7 +42,7 @@ from candlekit.experiment import (
 )
 from candlekit.labeling import LabelerParams
 from candlekit.models import ModelConfig, TrainConfig, build_model
-from candlekit.nn import arrays_to_bytes, load_arrays
+from candlekit.nn import arrays_to_bytes, load_arrays, save_arrays
 from candlekit import market_data
 from candlekit.market_data import MAX_SYNTH_N, SynthParams, synth_series, window, write_csv
 from candlekit.patterns import Direction, PatternKind, PatternMatch, PatternRuleParams
@@ -189,6 +189,7 @@ class TestManifest:
         {"train": {"lr": float("nan")}},
         {"train": {"epochs": True}},
         {"train": {"chronological": "no"}},
+        {"train": {"chronological": False}},
         {"render": {"up_color": [0, 168.0, 0]}},
         {"pattern": {"doji_body_frac": float("nan")}},
         {"datasets": [{"name": "a", "synth": {"n": 50, "volatility": float("inf")}}]},
@@ -212,7 +213,7 @@ class TestManifest:
         "output_dir-int", "window-too-short-for-cnn1d", "member-list",
         "two_stream-without-pattern", "mini_cnn-with-pattern", "train-seed",
         "epochs-float", "candle_px-float", "trend_lookback-float", "horizon-float",
-        "lr-negative", "lr-nan", "epochs-bool", "chronological-str", "color-float",
+        "lr-negative", "lr-nan", "epochs-bool", "chronological-str", "shuffled-split", "color-float",
         "doji_body_frac-nan", "volatility-inf", "hist_hw-too-small-for-blocks",
         "pattern_hw-too-small-for-blocks", "arm-key-typo", "document-key-typo",
         "dataset-key-typo", "null-value", "synth-with-empty-members", "non-str-keys",
@@ -404,8 +405,8 @@ class TestAssembly:
         assert len(merged) == len(single[0]) + len(single[1])
         assert merged.member is not None
         assert merged.pattern.shape == (len(merged), 3, 16, 16)
-        assert merged.inputs.dtype == np.float32
-        assert merged.inputs.max() <= 1.0 and merged.inputs.min() >= 0.0
+        assert merged.history.dtype == np.float32
+        assert merged.history.max() <= 1.0 and merged.history.min() >= 0.0
 
     def test_training_set_equals_per_image_reference(self, tmp_path):
         # a merged pair of members whose pattern crops span 1, 2 and 3 candles
@@ -413,7 +414,7 @@ class TestAssembly:
         dirs = [chart_dir(tmp_path / "a", spec, n_candles=6), chart_dir(tmp_path / "b", spec, 9, 4)]
         rows = [(d, row) for d in dirs for row in load_manifest_rows(d)]
         ts = assemble_training_set(dirs, (32, 32), (16, 16), True)
-        for arr, key, hw in ((ts.inputs, "history_image_path", (32, 32)),
+        for arr, key, hw in ((ts.history, "history_image_path", (32, 32)),
                              (ts.pattern, "pattern_image_path", (16, 16))):
             ref = np.stack([image_to_array(resize_nearest(read_ppm((d / row[key]).read_bytes()), *hw))
                             for d, row in rows])
@@ -424,9 +425,9 @@ class TestAssembly:
         man = manifest(tmp_path)
         ddir = build_dataset(man, "alpha")
         ds = assemble_subchart_dataset([ddir], (16, 16), man.render_spec)
-        assert ds.subcharts is ds.inputs
-        assert ds.inputs.shape[1] == 28
-        assert ds.inputs.shape[2:] == (3, 16, 16)
+        assert ds.history is None  # the one stream is subcharts
+        assert ds.subcharts.shape[1] == 28
+        assert ds.subcharts.shape[2:] == (3, 16, 16)
 
     @pytest.mark.parametrize("spec", [
         RenderSpec(candle_px=3, gap_px=2, margin_px=3, height_px=24),
@@ -446,8 +447,8 @@ class TestAssembly:
             ])
             for row in load_manifest_rows(ddir)
         ])
-        assert ds.inputs.dtype == ref.dtype and ds.inputs.flags.c_contiguous
-        assert np.array_equal(ds.inputs, ref)
+        assert ds.subcharts.dtype == ref.dtype and ds.subcharts.flags.c_contiguous
+        assert np.array_equal(ds.subcharts, ref)
 
     def test_charts_with_different_subchart_counts_raise_shape_mismatch(self, tmp_path):
         spec = RenderSpec()
@@ -518,7 +519,7 @@ class TestAssembly:
 
     def test_planted_signal_balanced_and_native_size(self):
         ts = planted_signal_set(n_samples=40, seed=3)
-        assert ts.inputs.shape == (40, 3, 32, 32)
+        assert ts.history.shape == (40, 3, 32, 32)
         assert ts.labels.mean() == 0.5
 
     def test_image_to_array_range(self, tmp_path):
@@ -976,7 +977,8 @@ CLI_SYNTH = st.integers(-3, 40) | st.sampled_from([-10**30, 2000])
 
 @pytest.fixture(scope="module")
 def cli_files(tmp_path_factory):
-    """Small inputs for the argv property, good and bad: manifests, CSVs, PPMs and reports."""
+    """Small inputs for the argv property, good and bad: manifests, CSVs, PPMs, reports, and
+    checkpoints of man.json's (alpha, non_pattern) pair, trained once: as trained, and with a NaN."""
     d = tmp_path_factory.mktemp("cli")
     model = {**BASE_DOC["model"], "window": 12, "subchart_k": 4}
     for name, text in {
@@ -993,13 +995,19 @@ def cli_files(tmp_path_factory):
     (d / "dot.ppm").write_bytes(write_ppm(RasterImage(np.full((1, 1, 3), 255, np.uint8))))
     (d / "junk.ppm").write_bytes(b"P6\n9 9\n255\n\x00")
     (d / "subs").mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["train", "--manifest", str(d / "man.json"), "--dataset", "alpha", "--arm", "non_pattern"]) == 0
+    arrays = load_arrays(d / "out" / "checkpoints" / "alpha__non_pattern.ckpt")
+    save_arrays(d / "alpha.ckpt", arrays)
+    arrays[0].flat[0] = np.nan
+    save_arrays(d / "nan.ckpt", arrays)
     return d
 
 
 @st.composite
 def cli_argvs(draw, d: Path) -> list[str]:
-    """argv for detect, render, decompose or report, each flag present or not."""
-    command = draw(st.sampled_from(["detect", "render", "decompose", "report"]))
+    """argv for detect, render, decompose, report or eval, each flag present or not."""
+    command = draw(st.sampled_from(["detect", "render", "decompose", "report", "eval"]))
     argv = [command]
 
     def maybe(flag, values):
@@ -1020,6 +1028,11 @@ def cli_argvs(draw, d: Path) -> list[str]:
         maybe("--stride", CLI_INTS)
         return argv
     maybe("--seed", CLI_INTS)
+    if command == "eval":
+        argv += ["--dataset", draw(st.sampled_from(["alpha", "merged", "nope"])),
+                 "--arm", draw(st.sampled_from(["non_pattern", "with_pattern", "nope"])),
+                 "--checkpoint", draw(files("alpha.ckpt", "nan.ckpt", "junk.ppm"))]
+        return argv
     maybe("--synth", CLI_SYNTH)
     maybe("--csv", files("tiny.csv", "header.csv"))
     if command == "render":
@@ -1047,6 +1060,8 @@ def test_every_cli_argv_exits_0_or_2(cli_files, data):
     if argv[0] == "render" and code == 0:  # without --window, man.json's model window or the default
         w = int(flags.get("--window", 12 if "--manifest" in flags else ModelSettings().window))
         assert read_ppm((cli_files / "out.ppm").read_bytes()).width_px == RenderSpec().chart_width(w)
+    if argv[0] == "eval" and code == 0:  # only the trained checkpoint, and only into its own model
+        assert flags["--checkpoint"].endswith("alpha.ckpt") and flags["--arm"] == "non_pattern"
 
 
 @pytest.mark.parametrize("module", ["candlekit", "candlekit.nn"])

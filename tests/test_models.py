@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from candlekit import (
     Decomposer,
-    SubchartDataset,
     MiniCNN,
     ModelConfig,
     TrainConfig,
@@ -50,7 +50,7 @@ TS_CFG = ModelConfig(
 def random_training_set(n=24, seed=0, hw=16, two_stream=False):
     rng = np.random.default_rng(seed)
     return TrainingSet(
-        inputs=rng.random((n, 3, hw, hw), dtype=np.float32),
+        history=rng.random((n, 3, hw, hw), dtype=np.float32),
         labels=(rng.random(n) < 0.5).astype(np.float32),
         order=np.arange(n, dtype=np.int64),
         pattern=rng.random((n, 3, 8, 8), dtype=np.float32) if two_stream else None,
@@ -145,6 +145,14 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch):
             evaluate([], [])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_probability_fails(self, value):
+        # ranking would put a NaN above every number, where the oracle gives it no credit
+        with pytest.raises(NonFiniteValue):
+            evaluate([value, 0.2], [1, 0])
+        with pytest.raises(LengthMismatch):  # the length check comes first
+            evaluate([value, 0.2], [1])
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(5)
         probs = rng.random(40)
@@ -201,17 +209,25 @@ class TestSplits:
         with pytest.raises(EmptyPartition):
             split_indices(np.arange(3), None, TrainConfig())
 
-    def test_non_chronological_is_seeded(self):
-        order = np.arange(40)
-        tc = TrainConfig(chronological=False, seed=5)
-        a = split_indices(order, None, tc)
-        b = split_indices(order, None, tc)
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
-        assert not np.array_equal(np.sort(order[a[0]]), order[a[0]])
-
 
 class TestTrain:
+    @pytest.mark.parametrize("variant, missing", [
+        ("mini_cnn", "history"), ("two_stream", "pattern"), ("subchart", "subcharts"),
+    ])
+    def test_a_stream_the_model_reads_must_be_in_the_set(self, variant, missing):
+        # the set holds every stream but the one this arm's model reads
+        model = build_model(replace(TS_CFG, variant=variant, latent_dim=8, seq_len=6))
+        rng = np.random.default_rng(8)
+        streams = {"history": rng.random((24, 3, 16, 16), dtype=np.float32),
+                   "pattern": rng.random((24, 3, 8, 8), dtype=np.float32),
+                   "subcharts": rng.random((24, 6, 3, 16, 16), dtype=np.float32)}
+        del streams[missing]
+        ts = TrainingSet(labels=np.arange(24) % 2.0, order=np.arange(24), **streams)
+        with pytest.raises(ShapeMismatch, match=re.escape(f"['{missing}']")):
+            train(model, ts, TrainConfig(epochs=1, batch_size=8))
+        with pytest.raises(ShapeMismatch, match=re.escape(f"['{missing}']")):
+            models.batch_inputs(model, ts, np.arange(4))
+
     def test_epochs_zero_initial_eval_only(self):
         ts = random_training_set(seed=1)
         model = MiniCNN(SMALL_CFG)
@@ -237,7 +253,7 @@ class TestTrain:
         x = rng.random((40, 3, 16, 16), dtype=np.float32)
         labels = (x[:, 0].mean(axis=(1, 2)) > 0.5).astype(np.float32)
         x[:, 0] += labels[:, None, None]  # widen the gap
-        ts = TrainingSet(inputs=np.clip(x, 0, 2), labels=labels, order=np.arange(40))
+        ts = TrainingSet(history=np.clip(x, 0, 2), labels=labels, order=np.arange(40))
         model = MiniCNN(SMALL_CFG)
         report = train(model, ts, TrainConfig(epochs=8, batch_size=8, seed=1))
         losses = [e.train_loss for e in report.entries[1:]]
@@ -254,8 +270,8 @@ class TestPredict:
     def test_range_and_determinism(self):
         ts = random_training_set(seed=5)
         model = MiniCNN(SMALL_CFG)
-        a = predict(model, (ts.inputs,))
-        b = predict(model, (ts.inputs,))
+        a = predict(model, (ts.history,))
+        b = predict(model, (ts.history,))
         assert np.array_equal(a, b)
         assert ((a > 0) & (a < 1)).all()
 
@@ -289,7 +305,7 @@ class TestTwoStreamConsistency:
         ts = random_training_set(n=16, seed=6, two_stream=True)
         from candlekit.nn import loss_bce
 
-        probs, caches = two.forward((ts.inputs, ts.pattern))
+        probs, caches = two.forward((ts.history, ts.pattern))
         _, grad = loss_bce(probs, ts.labels)
         two.backward(grad, caches)
         norms = [float(np.abs(p.grad_w).sum()) for p in two.towers[1].trainable()]
@@ -302,7 +318,7 @@ class TestTwoStreamConsistency:
 
         two = TwoStream(TS_CFG)
         ts = random_training_set(n=8, seed=9, two_stream=True)
-        probs, caches = two.forward((ts.inputs, ts.pattern))
+        probs, caches = two.forward((ts.history, ts.pattern))
         _, grad = loss_bce(probs, ts.labels)
 
         def grads():
@@ -317,7 +333,7 @@ class TestTwoStreamConsistency:
         g = two.head.backward(grad.reshape(-1, 1), caches[-1])
         cut = two.towers[0].output_shape[0]
         for tower, g_t, cache, x in zip(two.towers, np.split(g, [cut], axis=1), caches,
-                                        (ts.inputs, ts.pattern)):
+                                        (ts.history, ts.pattern)):
             assert tower.backward(g_t, cache).shape == x.shape
         full = grads()
         assert len(skipped) == len(full) == 2 * len(two.trainable())
@@ -329,8 +345,8 @@ class TestTrainSubchartPipeline:
     def test_shapes_and_phase1_progress(self):
         rng = np.random.default_rng(8)
         n, s = 30, 6
-        ds = SubchartDataset(
-            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+        ds = TrainingSet(
+            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.arange(n, dtype=np.int64),
         )
@@ -338,7 +354,7 @@ class TestTrainSubchartPipeline:
                           latent_dim=8, seq_len=s, seed=2)
         model = build_model(cfg)
         report = train(model, ds, TrainConfig(epochs=2, batch_size=16, seed=3))
-        assert model.encode(ds.inputs).shape == (n, 8, s)
+        assert model.encode(ds.subcharts).shape == (n, 8, s)
         assert len(report.cae_mse) == 3
         assert report.cae_mse[-1] < report.cae_mse[0]
         assert len(report.entries) == 3
@@ -348,8 +364,8 @@ class TestTrainSubchartPipeline:
         # nothing to learn and validation should hug the coin-flip line
         rng = np.random.default_rng(12)
         n, s = 240, 6
-        ds = SubchartDataset(
-            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+        ds = TrainingSet(
+            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.arange(n, dtype=np.int64),
         )
@@ -365,8 +381,8 @@ class TestTrainSubchartPipeline:
         # epochs=0 gives one entry each
         rng = np.random.default_rng(9)
         n, s = 30, 6
-        ds = SubchartDataset(
-            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+        ds = TrainingSet(
+            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.arange(n, dtype=np.int64),
         )
@@ -374,7 +390,7 @@ class TestTrainSubchartPipeline:
                           latent_dim=8, seq_len=s, seed=2)
         tc = TrainConfig(epochs=2, batch_size=16, seed=3)
         tr, _va, _te = split_indices(ds.order, ds.member, tc)
-        crops = ds.inputs[tr].reshape((-1, 3, 8, 8))
+        crops = ds.subcharts[tr].reshape((-1, 3, 8, 8))
         assert len(crops) % _PREDICT_CHUNK
 
         def recon_mse(cae):
@@ -397,8 +413,8 @@ class TestTrainSubchartPipeline:
         # of the sub-chart array and must match a run on the copied crops
         rng = np.random.default_rng(10)
         n, s = 40, 6
-        ds = SubchartDataset(
-            inputs=rng.random((n, s, 3, 8, 8), dtype=np.float32),
+        ds = TrainingSet(
+            subcharts=rng.random((n, s, 3, 8, 8), dtype=np.float32),
             labels=(rng.random(n) < 0.5).astype(np.float32),
             order=np.tile(np.arange(n // 2, dtype=np.int64), 2),
             member=np.repeat(np.arange(2, dtype=np.int64), n // 2),
@@ -411,7 +427,7 @@ class TestTrainSubchartPipeline:
 
         ref = build_model(cfg)
         cae = ref.cae
-        imgs = ds.inputs[tr].reshape((-1, 3, 8, 8))
+        imgs = ds.subcharts[tr].reshape((-1, 3, 8, 8))
 
         def recon_mse(latent):
             total = 0.0
@@ -422,7 +438,7 @@ class TestTrainSubchartPipeline:
 
         first = recon_mse(cae.encode(imgs))
         losses = list(_fit(cae, (imgs,), imgs, range(len(imgs)), loss_mse, tc, "cae-shuffle"))
-        latent = ref.encode(ds.inputs)[tr].transpose(0, 2, 1).reshape(-1, 8)
+        latent = ref.encode(ds.subcharts)[tr].transpose(0, 2, 1).reshape(-1, 8)
 
         model = build_model(cfg)
         report = train(model, ds, tc)
@@ -462,8 +478,8 @@ def _model_and_set(variant):
     if variant == "mini_cnn":
         return MiniCNN(SMALL_CFG), random_training_set(seed=5)
     rng = np.random.default_rng(6)
-    return build_model(SUB_CFG), SubchartDataset(
-        inputs=rng.random((30, 6, 3, 8, 8), dtype=np.float32),
+    return build_model(SUB_CFG), TrainingSet(
+        subcharts=rng.random((30, 6, 3, 8, 8), dtype=np.float32),
         labels=(rng.random(30) < 0.5).astype(np.float32),
         order=np.arange(30, dtype=np.int64),
     )
@@ -478,7 +494,7 @@ class TestNonFiniteValues:
     @pytest.mark.parametrize("variant", ["mini_cnn", "subchart"])
     def test_non_finite_input_fails_training(self, variant, value):
         model, ts = _model_and_set(variant)
-        ts.inputs[0].flat[7] = value
+        getattr(ts, model.reads[0])[0].flat[7] = value
         with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
             train(model, ts, TrainConfig(epochs=1, batch_size=8))
 

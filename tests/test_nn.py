@@ -78,6 +78,8 @@ class TestShapeLaw:
         # the spec is checked before the shape law divides by its stride
         with pytest.raises(BadSpec):
             nn.Sequential([spec], in_shape, seed=0)
+        with pytest.raises(BadSpec):  # before a zero fan-in divides
+            nn.init_params(spec, 0)
 
 
 class TestInit:
