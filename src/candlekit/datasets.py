@@ -1,11 +1,12 @@
 """Turning rendered charts into training arrays.
 
 One gather reads each PPM once and writes its crops, resized
-nearest-neighbor to the model's input size, as float32 C x H x W arrays in
-[0, 1]: the whole chart for the history and pattern streams, k-candle
-sub-charts for the Decomposer. Dataset directories follow the layout
-written by the experiment builder: ``manifest.jsonl`` plus ``history/`` and
-``pattern/`` PPM files, with paths stored relative to the directory.
+nearest-neighbor to the model's input size, as uint8 C x H x W pixels: the
+whole chart for the history and pattern streams, k-candle sub-charts for
+the Decomposer; ``models.model_input`` scales them per minibatch or chunk.
+Dataset directories follow the layout written by the experiment builder:
+``manifest.jsonl`` plus ``history/`` and ``pattern/`` PPM files, with paths
+stored relative to the directory.
 
 ``planted_signal_set`` builds the synthetic sanity-check dataset: windows
 whose last candle has a bimodal body-to-range fraction (alternating
@@ -25,14 +26,14 @@ from .decompose import subchart_spans
 from .errors import EmptyDataset, ManifestError, ShapeMismatch
 from .fileio import parse_json, read_input
 from .market_data import Candle, CandleWindow
-from .models import TrainingSet
+from .models import TrainingSet, model_input
 from .raster import RasterImage, RenderSpec, nearest_index, read_ppm, render_window
 from .rng import Rng, derive_seed
 
 
 def image_to_array(img: RasterImage) -> np.ndarray:
-    """(H, W, 3) uint8 -> (3, H, W) float32 in [0, 1]."""
-    return (img.pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
+    """(H, W, 3) uint8 -> (3, H, W) float32 in [0, 1], scaled by ``model_input`` as a model's input is."""
+    return model_input(img.pixels).transpose(2, 0, 1)
 
 
 _ROW_KEYS = ("end_index", "strength", "history_image_path", "pattern_image_path")
@@ -86,7 +87,7 @@ def _whole(img: RasterImage) -> np.ndarray:
 
 
 def _gather(pairs, key: str, hw: tuple[int, int], spans) -> np.ndarray:
-    """Each row's ``key`` chart cut into S crops, as one C-order (N, S, 3, h, w) float32 array.
+    """Each row's ``key`` chart cut into S crops, as one C-order (N, S, 3, h, w) uint8 pixel array.
 
     ``spans(img)`` gives a chart's (S, 2) inclusive crop columns; each crop is
     resized as by ``resize_nearest``. A chart whose S differs from the first's raises ShapeMismatch.
@@ -99,10 +100,10 @@ def _gather(pairs, key: str, hw: tuple[int, int], spans) -> np.ndarray:
         cols = x0[:, None] + nearest_index(x1 - x0 + 1, w)
         crops = img.pixels[nearest_index(img.height_px, h)][:, cols]  # (h, S, w, 3)
         if out is None:
-            out = np.empty((len(pairs), len(x0), 3, h, w), dtype=np.float32)
+            out = np.empty((len(pairs), len(x0), 3, h, w), dtype=np.uint8)
         elif len(x0) != out.shape[1]:
             raise ShapeMismatch(f"{d / row[key]} gives {len(x0)} crops, the first chart {out.shape[1]}")
-        np.divide(crops.transpose(1, 3, 0, 2), np.float32(255), out=out[i])
+        out[i] = crops.transpose(1, 3, 0, 2)
     return out
 
 
@@ -112,7 +113,7 @@ def assemble_training_set(
     pattern_hw: tuple[int, int],
     include_pattern: bool,
 ) -> TrainingSet:
-    """A training set of the ``history`` stream, and of ``pattern`` if ``include_pattern``.
+    """A training set of the uint8 ``history`` stream, and of ``pattern`` if ``include_pattern``.
 
     Multiple directories form a merged dataset: samples keep a member id so
     the chronological split stays within each member.
@@ -130,7 +131,7 @@ def assemble_subchart_dataset(
     k: int = 3,
     stride: int = 1,
 ) -> TrainingSet:
-    """A training set whose ``subcharts`` stream holds the history charts cut into
+    """A training set whose uint8 ``subcharts`` stream holds the history charts cut into
     (N, S, 3, h, w) k-candle sub-charts; ShapeMismatch if S varies."""
     pairs, labels, order, member = _read_rows(dataset_dirs)
     subcharts = _gather(pairs, "history_image_path", sub_hw,
@@ -162,6 +163,7 @@ def planted_signal_set(
     no resize blurs the signal. Sample i draws the last candle's body
     fraction from U(0.02, 0.30) when i is even and U(0.60, 0.95) when i is
     odd, which pins the median inside the gap and balances the classes.
+    ``history`` holds the charts' (3, 32, 32) uint8 pixels, as the assemblers' streams do.
     """
     rng = Rng(derive_seed(seed, "planted-signal"))
     windows: list[CandleWindow] = []
@@ -186,5 +188,5 @@ def planted_signal_set(
 
     median = float(np.median(fracs))
     labels = np.asarray([1.0 if f > median else 0.0 for f in fracs], dtype=np.float32)
-    images = np.stack([image_to_array(render_window(w, spec)) for w in windows])
+    images = np.stack([render_window(w, spec).pixels.transpose(2, 0, 1) for w in windows])
     return TrainingSet(labels=labels, order=np.arange(n_samples, dtype=np.int64), history=images)

@@ -118,7 +118,8 @@ class TrainConfig:
 class TrainingSet:
     """Labels, series order, member ids and input streams for one classification run: ``history``
     charts, ``pattern`` crops, (N, S, C, H, W) ``subcharts`` stacks, or a Decomposer's encoded
-    (N, latent_dim, S) ``codes``. A model reads the streams its class names in ``reads``."""
+    (N, latent_dim, S) ``codes``. A model reads the streams its class names in ``reads``. Chart
+    streams hold uint8 pixels, which :func:`model_input` scales one minibatch or chunk at a time."""
 
     labels: np.ndarray
     order: np.ndarray
@@ -130,6 +131,12 @@ class TrainingSet:
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
+
+
+def model_input(x: np.ndarray) -> np.ndarray:
+    """uint8 pixels scaled to float32 in [0, 1], one rounded float32 division each; any other array
+    as it is. The one place pixels are scaled; models call it per minibatch or chunk, not per stream."""
+    return np.divide(x, np.float32(255), dtype=np.float32) if x.dtype == np.uint8 else x
 
 
 def _tower_specs(in_shape: tuple[int, ...], widths: tuple[int, ...]) -> tuple[list, int]:
@@ -191,7 +198,7 @@ class TowerModel(Model):
     def forward(self, inputs: tuple[np.ndarray, ...]):
         outs, caches = [], []
         for tower, x in zip(self.towers, self._checked_inputs(inputs)):
-            y, cache = tower.forward(x)
+            y, cache = tower.forward(model_input(x))
             outs.append(y)
             caches.append(cache)
         y = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
@@ -265,7 +272,7 @@ class CAEModel(TowerModel):
         return [(enc, cfg.input_shape, "cae.enc"), (dec, (cfg.latent_dim,), "cae.dec")]
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.towers[0].predict(c) for (c,) in _chunks((x,))], axis=0)
+        return np.concatenate([self.towers[0].predict(model_input(c)) for (c,) in _chunks((x,))], axis=0)
 
 
 class CNN1DModel(TowerModel):
@@ -495,7 +502,7 @@ def _fit(model: TowerModel, streams: tuple[np.ndarray, ...], targets: np.ndarray
         for start in range(0, len(idx), tc.batch_size):
             batch = np.asarray(idx[start : start + tc.batch_size])
             out, caches = model.forward(tuple(s[batch] for s in streams))
-            value, grad = loss(out, targets[batch].astype(out.dtype))
+            value, grad = loss(out, model_input(targets[batch]).astype(out.dtype, copy=False))
             with np.errstate(over="ignore", invalid="ignore"):  # the weight check follows
                 model.backward(grad, caches)
                 step(params, tc.lr)
@@ -526,7 +533,7 @@ def _recon_mse(cae: CAEModel, latent: np.ndarray, crops: np.ndarray, rows: np.nd
     """MSE of ``cae.head``'s decoding of ``latent`` against ``crops[rows]``, row for row."""
     total = 0.0
     for z, r in _chunks((latent, rows)):
-        total += float(np.sum((cae.head.predict(z) - crops[r]) ** 2))
+        total += float(np.sum((cae.head.predict(z) - model_input(crops[r])) ** 2))
     return total / (len(rows) * crops[0].size)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import re
@@ -38,10 +39,12 @@ from candlekit.experiment import (
     load_report,
     manifest_from_dict,
     render_report,
+    run_arm,
     run_experiment,
 )
 from candlekit.labeling import LabelerParams
-from candlekit.models import ModelConfig, TrainConfig, build_model
+from candlekit import models
+from candlekit.models import _PREDICT_CHUNK, ModelConfig, TrainConfig, build_model, model_input
 from candlekit.nn import arrays_to_bytes, load_arrays, save_arrays
 from candlekit import market_data
 from candlekit.market_data import MAX_SYNTH_N, SynthParams, synth_series, window, write_csv
@@ -396,6 +399,10 @@ def chart_dir(tmp_path, spec, n_candles, n_charts=3):
     return tmp_path
 
 
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestAssembly:
     def test_merged_training_set_counts(self, tmp_path):
         man = manifest(tmp_path)
@@ -405,8 +412,11 @@ class TestAssembly:
         assert len(merged) == len(single[0]) + len(single[1])
         assert merged.member is not None
         assert merged.pattern.shape == (len(merged), 3, 16, 16)
-        assert merged.history.dtype == np.float32
-        assert merged.history.max() <= 1.0 and merged.history.min() >= 0.0
+        for stream in (merged.history, merged.pattern):
+            assert stream.dtype == np.uint8 and stream.flags.c_contiguous
+            scaled = model_input(stream)
+            assert scaled.dtype == np.float32
+            assert scaled.max() <= 1.0 and scaled.min() >= 0.0
 
     def test_training_set_equals_per_image_reference(self, tmp_path):
         # a merged pair of members whose pattern crops span 1, 2 and 3 candles
@@ -416,10 +426,10 @@ class TestAssembly:
         ts = assemble_training_set(dirs, (32, 32), (16, 16), True)
         for arr, key, hw in ((ts.history, "history_image_path", (32, 32)),
                              (ts.pattern, "pattern_image_path", (16, 16))):
-            ref = np.stack([image_to_array(resize_nearest(read_ppm((d / row[key]).read_bytes()), *hw))
-                            for d, row in rows])
-            assert arr.dtype == ref.dtype and arr.flags.c_contiguous
-            assert np.array_equal(arr, ref)
+            imgs = [resize_nearest(read_ppm((d / row[key]).read_bytes()), *hw) for d, row in rows]
+            assert arr.flags.c_contiguous
+            assert_same_bits(arr, np.stack([img.pixels.transpose(2, 0, 1) for img in imgs]))
+            assert_same_bits(model_input(arr), np.stack([image_to_array(img) for img in imgs]))
 
     def test_subchart_dataset_has_28_crops(self, tmp_path):
         man = manifest(tmp_path)
@@ -439,16 +449,17 @@ class TestAssembly:
     def test_subchart_array_equals_per_crop_reference(self, tmp_path, spec, k, stride, sub_hw):
         ddir = chart_dir(tmp_path, spec, n_candles=6)
         ds = assemble_subchart_dataset([ddir], sub_hw, spec, k=k, stride=stride)
-        ref = np.stack([
-            np.stack([
-                image_to_array(resize_nearest(c, *sub_hw))
-                for c in subcharts(read_ppm((ddir / row["history_image_path"]).read_bytes()),
-                                   spec, k=k, stride=stride)
-            ])
+        crops = [
+            [resize_nearest(c, *sub_hw)
+             for c in subcharts(read_ppm((ddir / row["history_image_path"]).read_bytes()),
+                                spec, k=k, stride=stride)]
             for row in load_manifest_rows(ddir)
-        ])
-        assert ds.subcharts.dtype == ref.dtype and ds.subcharts.flags.c_contiguous
-        assert np.array_equal(ds.subcharts, ref)
+        ]
+        assert ds.subcharts.flags.c_contiguous
+        assert_same_bits(ds.subcharts, np.stack([np.stack([c.pixels.transpose(2, 0, 1) for c in chart])
+                                                 for chart in crops]))
+        assert_same_bits(model_input(ds.subcharts), np.stack([np.stack([image_to_array(c) for c in chart])
+                                                              for chart in crops]))
 
     def test_charts_with_different_subchart_counts_raise_shape_mismatch(self, tmp_path):
         spec = RenderSpec()
@@ -532,6 +543,26 @@ class TestAssembly:
 
 
 class TestRunExperiment:
+    def test_streams_are_scaled_a_batch_or_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # the uint8 streams become float32 only as they are fed: no call scales more
+        # charts than one minibatch or one predict chunk holds (alpha has 103 samples)
+        man = manifest(tmp_path, arms=[{"arm_name": "non_pattern", "model": "mini_cnn"},
+                                       {"arm_name": "subchart", "model": "subchart"}])
+        dirs = {"alpha": build_dataset(man, "alpha")}
+        charts, scale = [], models.model_input
+
+        def counted(x):
+            if x.dtype == np.uint8:
+                charts.append(x.size // (3 * x.shape[-2] * x.shape[-1]))
+            return scale(x)
+
+        monkeypatch.setattr(models, "model_input", counted)
+        for arm in man.arms:
+            before = len(charts)
+            run_arm(man, dirs, "alpha", arm, tmp_path / "out")
+            assert len(charts) > before
+        assert max(charts) <= max(man.train_config.batch_size, _PREDICT_CHUNK)
+
     def test_report_structure_and_isolation(self, tmp_path):
         # "tiny" cannot produce samples; its rows must be errors while the
         # other dataset's arms still succeed
@@ -1017,11 +1048,18 @@ def cli_argvs(draw, d: Path) -> list[str]:
     def files(*names):
         return st.sampled_from([str(d / n) for n in (*names, "missing")])
 
+    def mostly(good, others):  # eval's draws lean to the trained (alpha, non_pattern) pair, which exits 0
+        return st.just(good) | others
+
     if command == "report":
         argv += ["--report-json", draw(files("report.json", "typo_report.json", "bad.json", "man.json"))]
         maybe("--out-dir", files("subs", "tiny.csv"))
         return argv
-    maybe("--manifest", files("man.json", "huge_synth.json", "bad.json"))
+    manifests = files("man.json", "huge_synth.json", "bad.json")
+    if command == "eval":  # always a manifest, mostly man.json
+        argv += ["--manifest", draw(mostly(str(d / "man.json"), manifests))]
+    else:
+        maybe("--manifest", manifests)
     if command == "decompose":
         argv += ["--image", draw(files("chart.ppm", "dot.ppm", "junk.ppm")), "--out-dir", str(d / "subs")]
         maybe("--k", CLI_INTS)
@@ -1029,9 +1067,9 @@ def cli_argvs(draw, d: Path) -> list[str]:
         return argv
     maybe("--seed", CLI_INTS)
     if command == "eval":
-        argv += ["--dataset", draw(st.sampled_from(["alpha", "merged", "nope"])),
-                 "--arm", draw(st.sampled_from(["non_pattern", "with_pattern", "nope"])),
-                 "--checkpoint", draw(files("alpha.ckpt", "nan.ckpt", "junk.ppm"))]
+        argv += ["--dataset", draw(mostly("alpha", st.sampled_from(["alpha", "merged", "nope"]))),
+                 "--arm", draw(mostly("non_pattern", st.sampled_from(["non_pattern", "with_pattern", "nope"]))),
+                 "--checkpoint", draw(mostly(str(d / "alpha.ckpt"), files("alpha.ckpt", "nan.ckpt", "junk.ppm")))]
         return argv
     maybe("--synth", CLI_SYNTH)
     maybe("--csv", files("tiny.csv", "header.csv"))
@@ -1083,6 +1121,21 @@ def test_only_fileio_reads_files():
         for n, line in enumerate(path.read_text().splitlines(), start=1) if call.search(line)
     ]
     assert readers == []
+
+
+def test_only_model_input_divides_by_255():
+    # pixels become model input in one place, so every stream is scaled by the same rounding
+    src = Path(__file__).resolve().parent.parent / "src" / "candlekit"
+    assert (src / "models.py").is_file()  # else the scan below passes on nothing
+    division = re.compile(r"(/|divide\().*\b255\b")
+    found = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), start=1) if division.search(line)
+    ]
+    lines, first = inspect.getsourcelines(model_input)
+    assert found == [f"models.py:{first + n}" for n, line in enumerate(lines) if division.search(line)]
+    assert len(found) == 1
 
 
 def test_only_fileio_parses_json():

@@ -228,6 +228,32 @@ class TestTrain:
         with pytest.raises(ShapeMismatch, match=re.escape(f"['{missing}']")):
             models.batch_inputs(model, ts, np.arange(4))
 
+    @pytest.mark.parametrize("variant", ["mini_cnn", "two_stream", "subchart"])
+    def test_pixel_set_trains_as_its_float32_twin(self, variant):
+        # streams fed as uint8 pixels give, bit for bit, what their scaled float32 twins give
+        rng = np.random.default_rng(14)
+        pixels = TrainingSet(
+            history=rng.integers(0, 256, (40, 3, 16, 16), dtype=np.uint8),
+            pattern=rng.integers(0, 256, (40, 3, 8, 8), dtype=np.uint8),
+            subcharts=rng.integers(0, 256, (40, 6, 3, 16, 16), dtype=np.uint8),
+            labels=(rng.random(40) < 0.5).astype(np.float32),
+            order=np.arange(40, dtype=np.int64),
+        )
+        twin = replace(pixels, **{name: models.model_input(getattr(pixels, name))
+                                  for name in ("history", "pattern", "subcharts")})
+        assert twin.subcharts.dtype == np.float32
+        tc = TrainConfig(epochs=2, batch_size=8, seed=15)
+        _tr, _va, te = split_indices(pixels.order, pixels.member, tc)
+        runs = []
+        for ts in (pixels, twin):
+            model = build_model(replace(TS_CFG, variant=variant, latent_dim=8, seq_len=6))
+            report = train(model, ts, tc)
+            runs.append((report.to_json(), model.arrays(), predict(model, models.batch_inputs(model, ts, te))))
+        (r1, w1, p1), (r2, w2, p2) = runs
+        assert r1 == r2 and ('"cae_mse": []' in r1) == (variant != "subchart")
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                   for a, b in zip(w1 + [p1], w2 + [p2], strict=True))
+
     def test_epochs_zero_initial_eval_only(self):
         ts = random_training_set(seed=1)
         model = MiniCNN(SMALL_CFG)
