@@ -10,10 +10,13 @@ and rebuilding without changes rewrites identical files.
 
 In the pattern arm the pattern stream always receives the ground-truth
 rendered crop, during training and evaluation alike, never the output of
-any detector. Arms are isolated: a failing arm is recorded as an error
-row and the remaining (dataset, arm) pairs still run. All paths stored in
-reports and dataset manifests are relative, so two runs into different
-output directories still produce identical bytes.
+any detector. Datasets are built, and then (dataset, arm) pairs run, on
+one worker process per CPU this process may use, or in this process when
+it may use only one. Each build and each pair is isolated: a failing one
+is recorded as an error row, the remaining pairs still run, and rows keep
+manifest order whichever job ends first. All paths stored in reports and
+dataset manifests are relative, so two runs into different output
+directories still produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import platform
 import re
 import shutil
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -499,31 +504,52 @@ def _remove_stale(out_root: Path, rows: list[dict]) -> None:
             (out_root / "checkpoints" / f"{r['dataset']}__{r['arm']}.ckpt").unlink(missing_ok=True)
 
 
+def _build(man: ExperimentManifest, name: str, out_root: Path) -> Path | str:
+    """One dataset's directory, or the error that marks its pairs failed."""
+    try:
+        return build_dataset(man, name, out_root)
+    except Exception as exc:  # per-dataset isolation
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _pair(man: ExperimentManifest, dirs: dict[str, Path], ds_name: str, arm: ArmSpec,
+          out_root: Path, broken: str | None) -> dict:
+    """One (dataset, arm) pair's report row; ``broken`` is a failed member's build error."""
+    if broken is not None:
+        return _arm_row(ds_name, arm, error=broken)
+    try:
+        return run_arm(man, dirs, ds_name, arm, out_root).row
+    except Exception as exc:  # per-arm isolation
+        return _arm_row(ds_name, arm, error=f"{type(exc).__name__}: {exc}")
+
+
 def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -> ExperimentReport:
-    """Every dataset x arm, with per-arm error isolation; writes reports."""
+    """Every dataset x arm, with per-arm error isolation; writes reports.
+
+    Workers are forked, so a child re-imports nothing and a script that calls this
+    without a ``__main__`` guard is not rerun in each. No worker outlives the call;
+    an interrupt inside a job, or a worker's death, raises here.
+    """
+    import concurrent.futures
+    import multiprocessing
+
     out_root = Path(out_dir) if out_dir is not None else Path(man.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    dirs: dict[str, Path] = {}
-    build_errors: dict[str, str] = {}
-    for ds in man.datasets:
-        if ds.is_merge:
-            continue
-        try:
-            dirs[ds.name] = build_dataset(man, ds.name, out_root)
-        except Exception as exc:  # per-dataset isolation
-            build_errors[ds.name] = f"{type(exc).__name__}: {exc}"
-
-    rows: list[dict] = []
-    for ds in man.datasets:
-        broken = next((build_errors[m] for m in _members(man, ds.name) if m in build_errors), None)
-        for arm in man.arms:
-            if broken is not None:
-                rows.append(_arm_row(ds.name, arm, error=broken))
-                continue
-            try:
-                rows.append(run_arm(man, dirs, ds.name, arm, out_root).row)
-            except Exception as exc:  # per-arm isolation
-                rows.append(_arm_row(ds.name, arm, error=f"{type(exc).__name__}: {exc}"))
+    names = [ds.name for ds in man.datasets if not ds.is_merge]
+    ds_names = [ds.name for ds in man.datasets for _ in man.arms]
+    arms = [arm for _ in man.datasets for arm in man.arms]
+    workers = min(len(os.sched_getaffinity(0)), max(len(names), len(arms)))
+    fork = multiprocessing.get_context("fork")
+    pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork) if workers > 1 else None
+    try:
+        run = pool.map if pool is not None else map
+        built = dict(zip(names, run(_build, repeat(man), names, repeat(out_root))))
+        dirs = {n: d for n, d in built.items() if isinstance(d, Path)}
+        broken = [next((built[m] for m in _members(man, d) if m not in dirs), None) for d in ds_names]
+        rows = list(run(_pair, repeat(man), repeat(dirs), ds_names, arms, repeat(out_root), broken))
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     _remove_stale(out_root, rows)
 
     report = ExperimentReport(

@@ -3,9 +3,15 @@ import importlib
 import inspect
 import io
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import signal
+import subprocess
+import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -43,7 +49,7 @@ from candlekit.experiment import (
     run_experiment,
 )
 from candlekit.labeling import LabelerParams
-from candlekit import models
+from candlekit import experiment, models
 from candlekit.models import _PREDICT_CHUNK, ModelConfig, TrainConfig, build_model, model_input
 from candlekit.nn import arrays_to_bytes, load_arrays, save_arrays
 from candlekit import market_data
@@ -635,6 +641,82 @@ class TestRunExperiment:
         }
 
 
+def usable_cpus(monkeypatch, n):
+    """``run_experiment`` sees ``n`` usable CPUs: a pool of workers for 2 or more, else this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def alarm():
+    # a hung pool fails the test in 60 s instead of stalling the suite
+    def hung(signum, frame):
+        raise TimeoutError("run_experiment did not return within 60 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+class TestWorkers:
+    def test_pool_gives_the_in_process_rows_and_bytes(self, tmp_path, monkeypatch, alarm):
+        doc = {"datasets": [{"name": "alpha", "synth": {"n": 320, "volatility": 0.02}},
+                            {"name": "tiny", "synth": {"n": 30}}],
+               "arms": BASE_DOC["arms"] + [{"arm_name": "subchart", "model": "subchart"}]}
+        arm, pids = run_arm, {}
+
+        def recorded(*args):
+            (pids["dir"] / str(os.getpid())).touch()
+            return arm(*args)
+
+        monkeypatch.setattr(experiment, "run_arm", recorded)
+        rows = {}
+        for n in (1, 2):
+            usable_cpus(monkeypatch, n)
+            pids["dir"] = tmp_path / f"pids{n}"
+            pids["dir"].mkdir()
+            rows[n] = run_experiment(manifest(tmp_path, output_dir=f"cpus{n}", **doc)).rows
+        assert rows[1] == rows[2]
+        assert [r["status"] for r in rows[1]] == ["ok"] * 3 + ["error"] * 3
+        assert all(r["error"].startswith("EmptyDataset: ") for r in rows[1][3:])
+        assert tree(tmp_path / "cpus1") == tree(tmp_path / "cpus2")
+        in_process, pooled = ({int(p.name) for p in (tmp_path / f"pids{n}").iterdir()} for n in (1, 2))
+        assert in_process == {os.getpid()}
+        assert pooled and os.getpid() not in pooled
+
+    @pytest.mark.parametrize("n", [1, 2], ids=["in-process", "pool"])
+    def test_interrupt_in_a_pair_propagates(self, tmp_path, monkeypatch, alarm, n):
+        usable_cpus(monkeypatch, n)
+        arm = run_arm
+
+        def interrupted(man, dirs, ds_name, spec, out_root):
+            if spec.arm_name == "non_pattern":
+                raise KeyboardInterrupt
+            return arm(man, dirs, ds_name, spec, out_root)
+
+        monkeypatch.setattr(experiment, "run_arm", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(manifest(tmp_path, datasets=[BASE_DOC["datasets"][0]]))
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, tmp_path, monkeypatch, alarm):
+        usable_cpus(monkeypatch, 2)
+        parent = os.getpid()
+
+        def dies(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("the pair ran in the test's own process")
+
+        monkeypatch.setattr(experiment, "run_arm", dies)
+        with pytest.raises(BrokenProcessPool):
+            run_experiment(manifest(tmp_path, datasets=[BASE_DOC["datasets"][0]]))
+        assert not (tmp_path / "out" / "report.json").exists()
+        assert multiprocessing.active_children() == []
+
+
 REPORTS = ("report.json", "report.md")
 
 
@@ -1107,6 +1189,17 @@ def test_every_exported_name_resolves(module):
     # a name left in __all__ after its definition is gone breaks `from ... import *`
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # run_experiment imports its pool when it runs, so startup does not pay for it
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, candlekit.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_fileio_reads_files():
