@@ -9,7 +9,8 @@ Sub-charts keep the original pixel scale: crops are taken from the parent
 image without re-scaling prices, so vertical geometry stays comparable
 across the sub-charts of one window.
 
-Inverse parsing requires the window's true price axis (charts carry no
+Inverse parsing reads every candle of a chart in one array pass over its
+column runs. It requires the window's true price axis (charts carry no
 axis labels); every recovered price is within one pixel-quantum
 
     (max_high - min_low) / (height_px - 2*margin_px - 1)
@@ -82,6 +83,11 @@ def _runs(empty: np.ndarray) -> np.ndarray:
     return edges.reshape(-1, 2) - (0, 1)
 
 
+def _first_last(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last True row of each column; every column must hold one."""
+    return mask.argmax(axis=0), len(mask) - 1 - mask[::-1].argmax(axis=0)
+
+
 def segment_columns(image: RasterImage, spec: RenderSpec = RenderSpec()) -> list[CandleExtent]:
     """Maximal runs of columns holding any non-background, non-tint pixel."""
     runs = _runs(_empty(_pack(image.pixels), spec))
@@ -129,62 +135,44 @@ def inverse_parse(
 ) -> list[ParsedCandle]:
     """Recover OHLC values from a rendered chart.
 
-    ``price_axis`` must be the window's true (min_low, max_high). Per
-    candle, the center column gives the wick top/bottom, the leftmost body
-    column gives the body rows and color, and the row-to-price map inverts
-    the renderer's quantization.
+    ``price_axis`` must be the window's true, finite (min_low, max_high). One array
+    pass over the column runs reads every candle at once: each run's center
+    column gives the wick top/bottom, its leftmost column the body rows and
+    color, and the row-to-price map inverts the renderer's quantization.
     """
     min_low, max_high = price_axis
-    if max_high < min_low:
-        raise BadParams(f"price_axis must be (min, max), got {price_axis}")
+    if not -np.inf < min_low <= max_high < np.inf:
+        raise BadParams(f"price_axis must be finite (min, max), got {price_axis}")
 
     packed = _pack(image.pixels)
-    palette = {
-        _pack_color(spec.background),
-        _pack_color(spec.annotation_tint),
-        _pack_color(spec.up_color),
-        _pack_color(spec.down_color),
-        _pack_color(spec.wick_color),
-    }
-    foreign = ~np.isin(packed, list(palette))
+    palette = (spec.background, spec.annotation_tint, spec.up_color, spec.down_color, spec.wick_color)
+    foreign = ~np.isin(packed, [_pack_color(c) for c in palette])
     if foreign.any():
         y, x = np.argwhere(foreign)[0]
         raise UnknownColor(f"pixel at ({y}, {x}) = {tuple(image.pixels[y, x])} not in palette")
 
     empty = _empty(packed, spec)
     if max_high == min_low:
-        occupied_rows = np.nonzero(~empty.all(axis=1))[0]
-        if len(occupied_rows) > 1:
-            raise DegenerateAxis(
-                f"flat price axis but {len(occupied_rows)} occupied rows"
-            )
+        occupied_rows = np.count_nonzero(~empty.all(axis=1))
+        if occupied_rows > 1:
+            raise DegenerateAxis(f"flat price axis but {occupied_rows} occupied rows")
 
-    up = _pack_color(spec.up_color)
-    down = _pack_color(spec.down_color)
-    parsed: list[ParsedCandle] = []
-    for i, (x0, x1) in enumerate(_runs(empty)):
-        wick_rows = np.nonzero(~empty[:, (x0 + x1) // 2])[0]
-        y_high, y_low = int(wick_rows[0]), int(wick_rows[-1])
-
-        body_col = packed[:, x0]
-        body_rows = np.nonzero((body_col == up) | (body_col == down))[0]
-        if len(body_rows) == 0:
-            raise UnknownColor(f"no body pixels in extent {i}")
-        y_top, y_bot = int(body_rows[0]), int(body_rows[-1])
-        direction = ParsedDirection.UP if body_col[y_top] == up else ParsedDirection.DOWN
-
-        high = row_to_price(y_high, min_low, max_high, spec)
-        low = row_to_price(y_low, min_low, max_high, spec)
-        top_price = row_to_price(y_top, min_low, max_high, spec)
-        bot_price = row_to_price(y_bot, min_low, max_high, spec)
-        if direction is ParsedDirection.UP:
-            opn, close = bot_price, top_price
-        else:
-            opn, close = top_price, bot_price
-        parsed.append(
-            ParsedCandle(open=opn, high=high, low=low, close=close, direction=direction)
-        )
-    return parsed
+    runs = _runs(empty)
+    body_cols = packed[:, runs[:, 0]]
+    is_up = body_cols == _pack_color(spec.up_color)
+    body = is_up | (body_cols == _pack_color(spec.down_color))
+    bare = ~body.any(axis=0)
+    if bare.any():
+        raise UnknownColor(f"no body pixels in extent {bare.argmax()}")
+    y_top, y_bot = _first_last(body)
+    rows = np.stack([*_first_last(~empty[:, runs.sum(axis=1) // 2]), y_top, y_bot])
+    high, low, top, bot = row_to_price(rows, min_low, max_high, spec).tolist()
+    ups = is_up[y_top, np.arange(len(runs))].tolist()
+    return [
+        ParsedCandle(open=b if u else t, high=h, low=lo, close=t if u else b,
+                     direction=ParsedDirection.UP if u else ParsedDirection.DOWN)
+        for h, lo, t, b, u in zip(high, low, top, bot, ups)
+    ]
 
 
 def pixel_quantum(price_axis: tuple[float, float], spec: RenderSpec) -> float:

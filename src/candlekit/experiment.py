@@ -28,6 +28,8 @@ import os
 import platform
 import re
 import shutil
+import threading
+import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -134,10 +136,9 @@ class ArmSpec:
 
 @dataclass(frozen=True)
 class ModelSettings:
-    """Input geometry and widths shared by all arms, checked when built: each
-    ``*_hw`` is two positive ints, each width list positive and non-empty,
-    ``window``/``subchart_k``/``subchart_stride`` at least 1, and every arm
-    kind's :meth:`model_config` must pass the models' own ``check_shapes``."""
+    """Input geometry and widths shared by all arms, checked when built: ``subchart_k`` and
+    ``subchart_stride`` at least 1, then every arm kind's :meth:`model_config` must pass the
+    models' own ``check_shapes``, which alone decides the sizes, widths and ``window``."""
 
     hist_hw: tuple[int, int] = (64, 64)
     pattern_hw: tuple[int, int] = (32, 32)
@@ -151,13 +152,7 @@ class ModelSettings:
     subchart_stride: int = 1
 
     def __post_init__(self) -> None:
-        for key in ("hist_hw", "pattern_hw", "subchart_hw", "block_widths", "pattern_widths"):
-            values = getattr(self, key)
-            if not values or min(values) < 1:
-                raise ManifestError(f"model {key} needs positive entries, got {values!r}")
-            if key.endswith("_hw") and len(values) != 2:
-                raise ManifestError(f"model {key} must be (height, width), got {values!r}")
-        for key in ("window", "subchart_k", "subchart_stride"):
+        for key in ("subchart_k", "subchart_stride"):
             if getattr(self, key) < 1:
                 raise ManifestError(f"model {key} must be >= 1, got {getattr(self, key)}")
         for variant in ARM_MODELS:
@@ -297,11 +292,9 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
     of an earlier build. Deterministic: rebuilding with identical inputs
     rewrites identical bytes.
     """
-    ds = next((d for d in man.datasets if d.name == name), None)
-    if ds is None:
-        raise SourceNotFound(f"dataset {name!r} not in manifest")
-    if ds.is_merge:
+    if _members(man, name) != (name,):
         raise ManifestError(f"dataset {name!r} is a merge; build its members instead")
+    ds = next(d for d in man.datasets if d.name == name)
     root = out_root if out_root is not None else Path(man.output_dir)
     series = _resolve_series(man, ds)
     samples = build_samples(
@@ -346,10 +339,11 @@ def build_dataset(man: ExperimentManifest, name: str, out_root: Path | None = No
 
 
 def _members(man: ExperimentManifest, name: str) -> tuple[str, ...]:
-    """The concrete datasets that dataset ``name`` reads: a merge's members, else itself."""
+    """The concrete datasets that dataset ``name`` reads: a merge's members, else itself.
+    SourceNotFound if the manifest has no dataset ``name``."""
     ds = next((d for d in man.datasets if d.name == name), None)
     if ds is None:
-        raise ManifestError(f"dataset {name!r} not in manifest")
+        raise SourceNotFound(f"dataset {name!r} not in manifest")
     return ds.members or (name,)
 
 
@@ -523,12 +517,23 @@ def _pair(man: ExperimentManifest, dirs: dict[str, Path], ds_name: str, arm: Arm
         return _arm_row(ds_name, arm, error=f"{type(exc).__name__}: {exc}")
 
 
+def _exit_with(parent: int) -> None:
+    """Pool worker initializer: end this worker within about 0.5 s of ``parent``'s death, which it
+    would not see otherwise: it holds both ends of the job queue's pipe, so it never reads EOF."""
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -> ExperimentReport:
     """Every dataset x arm, with per-arm error isolation; writes reports.
 
     Workers are forked, so a child re-imports nothing and a script that calls this
-    without a ``__main__`` guard is not rerun in each. No worker outlives the call;
-    an interrupt inside a job, or a worker's death, raises here.
+    without a ``__main__`` guard is not rerun in each. No worker outlives the call or a
+    killed caller; an interrupt inside a job, or a worker's death, raises here.
     """
     import concurrent.futures
     import multiprocessing
@@ -540,7 +545,8 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
     arms = [arm for _ in man.datasets for arm in man.arms]
     workers = min(len(os.sched_getaffinity(0)), max(len(names), len(arms)))
     fork = multiprocessing.get_context("fork")
-    pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork) if workers > 1 else None
+    pool = (concurrent.futures.ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with,
+                                                   initargs=(os.getpid(),)) if workers > 1 else None)
     try:
         run = pool.map if pool is not None else map
         built = dict(zip(names, run(_build, repeat(man), names, repeat(out_root))))

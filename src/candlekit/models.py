@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import (
     BadParams,
+    BadSpec,
     EmptyPartition,
     InvalidShape,
     LengthMismatch,
@@ -84,9 +85,6 @@ class ModelConfig:
             raise BadParams(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.block_widths or not self.pattern_widths:
             raise BadParams("block widths must be nonempty")
-        if self.fc_dim < 1 or self.latent_dim < 1 or self.seq_len < 1:
-            raise BadParams(f"fc_dim, latent_dim, seq_len must be >= 1, got "
-                            f"{self.fc_dim}, {self.latent_dim}, {self.seq_len}")
 
 
 @dataclass(frozen=True)
@@ -251,16 +249,13 @@ class CAEModel(TowerModel):
 
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
-        c, h, w = cfg.input_shape
+        c = cfg.input_shape[0]
         w1, w2 = cfg.block_widths[0], cfg.block_widths[min(1, len(cfg.block_widths) - 1)]
-        flat = w2 * (h // 4) * (w // 4)
-        enc = [
-            Conv2D(c, w1, 3, 1, 1), ReLU(), MaxPool2D(2, 2),
-            Conv2D(w1, w2, 3, 1, 1), ReLU(), MaxPool2D(2, 2),
-            Flatten(), Dense(flat, cfg.latent_dim),
-        ]
+        convs = [Conv2D(c, w1, 3, 1, 1), ReLU(), MaxPool2D(2, 2), Conv2D(w1, w2, 3, 1, 1), ReLU(), MaxPool2D(2, 2)]
+        code = _chain_shape(convs, cfg.input_shape)
+        enc = convs + [Flatten(), Dense(math.prod(code), cfg.latent_dim)]
         dec = [
-            Dense(cfg.latent_dim, flat), ReLU(), Reshape((w2, h // 4, w // 4)),
+            Dense(cfg.latent_dim, math.prod(code)), ReLU(), Reshape(code),
             NearestUpsample2D(2), Conv2D(w2, w1, 3, 1, 1), ReLU(),
             NearestUpsample2D(2), Conv2D(w1, c, 3, 1, 1), Sigmoid(),
         ]
@@ -340,7 +335,7 @@ def check_shapes(cfg: ModelConfig) -> None:
     try:
         for specs, shape, _tag in MODELS[cfg.variant].stacks(cfg):
             _chain_shape(specs, shape)
-    except (InvalidShape, ShapeMismatch) as exc:
+    except (BadSpec, InvalidShape, ShapeMismatch) as exc:
         raise InvalidShape(f"{cfg.variant} model: {exc}") from exc
 
 

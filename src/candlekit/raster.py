@@ -127,9 +127,10 @@ def price_to_row(p: float, min_low: float, max_high: float, spec: RenderSpec) ->
     return round_half_up((max_high - p) * inner / (max_high - min_low)) + spec.margin_px
 
 
-def row_to_price(y: int, min_low: float, max_high: float, spec: RenderSpec) -> float:
+def row_to_price(y, min_low: float, max_high: float, spec: RenderSpec):
+    """Price at row ``y``: a float for an int row, a float array for an int array of rows."""
     if max_high == min_low:
-        return min_low
+        return np.full(np.shape(y), min_low)[()]
     inner = spec.height_px - 2 * spec.margin_px - 1
     return max_high - (y - spec.margin_px) * (max_high - min_low) / inner
 

@@ -3,14 +3,18 @@
 Everything here is written longhand from plain OHLC tuples (and, for the
 convolution, max-pool and upsample oracles, nested lists; for the optimizer
 oracle, lists of float32 scalars) on purpose: no shared
-helpers with the package, no enum dispatch, no vectorization. If the
-library and these functions agree, the agreement is between two
-separately written routes.
+helpers with the package, no enum dispatch, no vectorization. The
+inverse-parse oracle is the one exception: it masks a pixel array with
+numpy, but reads it one candle at a time and raises the package's error
+classes. If the library and these functions agree, the agreement is
+between two separately written routes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from candlekit.errors import BadParams, DegenerateAxis, NoCandlesFound, UnknownColor
 
 
 def _mean(xs):
@@ -285,6 +289,62 @@ def oracle_segment_columns(pixels, empty_colors):
             extents.append((start, x))
         x += 1
     return extents
+
+
+def oracle_inverse_parse(pixels, spec, price_axis):
+    """(open, high, low, close, "up" | "down") per candle of a rendered chart, one candle at a time.
+
+    ``pixels`` is the (H, W, 3) uint8 chart. Per maximal run of columns
+    holding a pixel that is neither background nor tint, the center column
+    gives the wick's top and bottom rows and the leftmost column the body's
+    rows and color; a row y maps back to
+    max_high - (y - margin) * (max_high - min_low) / (height - 2*margin - 1),
+    or to min_low on a flat axis. Raises the package's error class for a
+    reversed axis, a pixel outside the palette, a flat axis over more than
+    one occupied row, a chart with no occupied column, and a run with no
+    body pixel, checked in that order.
+    """
+    min_low, max_high = price_axis
+    if max_high < min_low:
+        raise BadParams("reversed axis")
+
+    def is_color(color):
+        return (pixels == np.array(color, dtype=np.uint8)).all(axis=2)
+
+    up, down = is_color(spec.up_color), is_color(spec.down_color)
+    filled = ~(is_color(spec.background) | is_color(spec.annotation_tint))
+    if not (up | down | is_color(spec.wick_color) | ~filled).all():
+        raise UnknownColor("pixel outside the palette")
+    if max_high == min_low and filled.any(axis=1).sum() > 1:
+        raise DegenerateAxis("flat axis over more than one row")
+
+    def price(y):
+        if max_high == min_low:
+            return min_low
+        inner = spec.height_px - 2 * spec.margin_px - 1
+        return max_high - (y - spec.margin_px) * (max_high - min_low) / inner
+
+    occupied = filled.any(axis=0).tolist()
+    runs = []
+    for x, occ in enumerate(occupied):
+        if occ and (x == 0 or not occupied[x - 1]):
+            runs.append([x, x])
+        elif occ:
+            runs[-1][1] = x
+    if not runs:
+        raise NoCandlesFound("no occupied column")
+    out = []
+    for x0, x1 in runs:
+        wick = np.nonzero(filled[:, (x0 + x1) // 2])[0].tolist()
+        body = np.nonzero(up[:, x0] | down[:, x0])[0].tolist()
+        if not body:
+            raise UnknownColor("run without body")
+        top, bot = price(body[0]), price(body[-1])
+        if up[body[0], x0]:
+            out.append((bot, price(wick[0]), price(wick[-1]), top, "up"))
+        else:
+            out.append((top, price(wick[0]), price(wick[-1]), bot, "down"))
+    return out
 
 
 def oracle_optimizer(kind, weight, bias, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

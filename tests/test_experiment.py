@@ -10,6 +10,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, fields
@@ -367,6 +368,14 @@ class TestBuildDataset:
         with pytest.raises(EmptyDataset):
             build_dataset(man, "tiny")
 
+    def test_unknown_name_is_one_error_for_build_and_members(self, tmp_path):
+        man = manifest(tmp_path)
+        with pytest.raises(SourceNotFound, match="'nope' not in manifest"):
+            build_dataset(man, "nope")
+        with pytest.raises(SourceNotFound, match="'nope' not in manifest"):
+            experiment._members(man, "nope")
+        assert not (tmp_path / "out" / "datasets").exists()
+
     def test_missing_csv(self, tmp_path):
         man = manifest(tmp_path, datasets=[{"name": "gone", "csv_path": "gone.csv"}])
         with pytest.raises(SourceNotFound):
@@ -646,6 +655,15 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def alive(pid: int) -> bool:
+    """Whether process ``pid`` runs; a zombie, dead but not yet reaped, counts as exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 @pytest.fixture
 def alarm():
     # a hung pool fails the test in 60 s instead of stalling the suite
@@ -715,6 +733,47 @@ class TestWorkers:
             run_experiment(manifest(tmp_path, datasets=[BASE_DOC["datasets"][0]]))
         assert not (tmp_path / "out" / "report.json").exists()
         assert multiprocessing.active_children() == []
+
+    def test_workers_exit_when_the_caller_is_killed(self, tmp_path):
+        # a child interpreter runs the pool with pairs that stall; once both workers
+        # hold one, the child is SIGKILLed, and neither worker may outlive it by 5 s
+        doc = dict(BASE_DOC, datasets=[BASE_DOC["datasets"][0]], output_dir=str(tmp_path / "out"))
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        script = (
+            "import os, sys, time\n"
+            "from candlekit import experiment\n"
+            "def stalled(*args):\n"
+            "    (experiment.Path(sys.argv[2]) / str(os.getpid())).touch()\n"
+            "    time.sleep(120)\n"
+            "experiment.run_arm = stalled\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "experiment.run_experiment(experiment.load_manifest(sys.argv[1]))\n"
+        )
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        child = subprocess.Popen([sys.executable, "-c", script, str(tmp_path / "manifest.json"),
+                                  str(pid_dir)], env=env)
+        pids: set[int] = set()
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and child.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                pids = {int(p.name) for p in pid_dir.iterdir()}
+            assert len(pids) == 2, f"workers that took a pair: {pids}, child exit {child.poll()}"
+            child.kill()
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(alive, pids))
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+            for pid in filter(alive, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 REPORTS = ("report.json", "report.md")

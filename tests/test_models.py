@@ -92,6 +92,20 @@ class TestBuildModel:
         with pytest.raises(BadParams):
             ModelConfig(variant="perceptron")
 
+    @pytest.mark.parametrize("input_shape", [(3, 16), (3, 16, 16, 16)])
+    def test_subchart_input_of_the_wrong_rank_is_an_invalid_shape(self, input_shape):
+        # the CAE's bottleneck comes from its own encoder, so a sub-chart that is not
+        # (C, H, W) fails the shape law rather than unpacking into three sizes
+        cfg = ModelConfig(variant="subchart", input_shape=input_shape)
+        with pytest.raises(InvalidShape, match="subchart model"):
+            models.check_shapes(cfg)
+        with pytest.raises(InvalidShape):
+            build_model(cfg)
+
+    def test_check_shapes_names_the_variant_for_a_bad_layer_size(self):
+        with pytest.raises(InvalidShape, match="mini_cnn model"):
+            models.check_shapes(ModelConfig(variant="mini_cnn", input_shape=(3, 8, 8), fc_dim=0))
+
     @pytest.mark.parametrize("variant, n_streams", [
         ("mini_cnn", 2), ("two_stream", 1), ("subchart", 2), ("subchart", 0),
     ])
