@@ -46,10 +46,7 @@ def load_manifest_rows(dataset_dir: str | Path) -> list[dict]:
     lines = [line for line in data.splitlines() if line.strip()]
     rows = []
     for n, line in enumerate(lines, start=1):
-        try:
-            row = parse_json(line)
-        except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a repeated key, or nested too deep
-            raise ManifestError(f"{path} row {n} is not JSON: {exc}") from exc
+        row = parse_json(line, f"{path} row {n}")
         if not (isinstance(row, dict) and set(_ROW_KEYS) <= row.keys()
                 and type(row["end_index"]) is int
                 and row["strength"] in ("strong", "weak")

@@ -135,14 +135,17 @@ def inverse_parse(
 ) -> list[ParsedCandle]:
     """Recover OHLC values from a rendered chart.
 
-    ``price_axis`` must be the window's true, finite (min_low, max_high). One array
-    pass over the column runs reads every candle at once: each run's center
-    column gives the wick top/bottom, its leftmost column the body rows and
-    color, and the row-to-price map inverts the renderer's quantization.
+    ``price_axis`` must be the window's true (min_low, max_high), with every row's price finite.
+    One array pass over the column runs reads every candle at once: each run's center
+    column gives the wick top/bottom, its leftmost column the body rows and color,
+    and the row-to-price map inverts the renderer's quantization.
     """
     min_low, max_high = price_axis
     if not -np.inf < min_low <= max_high < np.inf:
         raise BadParams(f"price_axis must be finite (min, max), got {price_axis}")
+    # every step of row_to_price on this image's rows stays within |max_high| + (rows + margin) * span
+    if not abs(float(max_high)) + (image.height_px + spec.margin_px) * (float(max_high) - float(min_low)) < np.inf:
+        raise BadParams(f"price_axis {price_axis} is too wide for every row's price to be finite")
 
     packed = _pack(image.pixels)
     palette = (spec.background, spec.annotation_tint, spec.up_color, spec.down_color, spec.wick_color)

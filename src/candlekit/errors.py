@@ -55,7 +55,7 @@ class TruncatedPixelData(CandlekitError):
 
 
 class CorruptCheckpoint(TruncatedPixelData):
-    """Checkpoint stream is shorter than its header claims or has bytes left over."""
+    """Checkpoint stream that does not decode: short, over 64 dims, too big for numpy, or with bytes left over."""
 
 
 # --- decomposition / inverse parsing ---

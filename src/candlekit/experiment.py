@@ -82,7 +82,8 @@ def _check_name(name, what: str) -> None:
 
 @dataclass(frozen=True)
 class SynthSpec(SynthParams):
-    """A synthetic source: ``n`` (1 to MAX_SYNTH_N) candles of the walk its :class:`SynthParams` fields describe."""
+    """A synthetic source: ``n`` (1 to MAX_SYNTH_N) candles of the walk its :class:`SynthParams` fields
+    describe. A drift that alone leaves float range fails here; volatility and wicks can at build (BadParams)."""
 
     n: int = 0
 
@@ -90,6 +91,10 @@ class SynthSpec(SynthParams):
         super().__post_init__()
         if not 1 <= self.n <= MAX_SYNTH_N:
             raise ManifestError(f"synth spec needs n in [1, {MAX_SYNTH_N}], got {self.n}")
+        lo, hi = np.log(np.finfo(float).tiny), np.log(np.finfo(float).max)
+        if not all(lo < math.log(self.start_price) + t * self.drift < hi for t in (1, self.n)):
+            raise ManifestError(
+                f"synth drift {self.drift} from {self.start_price} leaves float range in {self.n} candles")
 
 
 @dataclass(frozen=True)
@@ -259,10 +264,7 @@ def manifest_from_dict(doc: dict, base_dir: str | Path = ".") -> ExperimentManif
 
 
 def _read_json(path: str | Path, what: str):
-    try:
-        return parse_json(read_input(path, what, Path.read_bytes))
-    except (ValueError, RecursionError) as exc:  # not JSON or UTF-8, a repeated key, or nested too deep
-        raise ManifestError(f"{what} {path} is not valid JSON: {exc}") from exc
+    return parse_json(read_input(path, what, Path.read_bytes), f"{what} {path}")
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:

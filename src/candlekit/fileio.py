@@ -1,7 +1,8 @@
-"""File reads and writes. Every input file is read through ``read_input``,
-which turns a failed read into a CandlekitError, and its JSON is parsed by
-``parse_json``; every output goes through ``write_atomic``, so a reader
-finds the old file or the new one, never a part."""
+"""File reads and writes. Every input file is read through ``read_input``, which turns a
+failed read into a CandlekitError, and its JSON is parsed by ``parse_json``. Every output
+goes through ``write_atomic``, so a reader finds the old file or the new one, never a part,
+except a dataset's: ``experiment.build_dataset`` writes its PPMs and ``manifest.jsonl`` with
+``Path.write_bytes``/``write_text`` into a temp directory, then renames that into place."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import BadRow, SourceNotFound
+from .errors import BadRow, ManifestError, SourceNotFound
 
 
 def read_input(path: str | Path, what: str, read=Path.read_text):
@@ -36,13 +37,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return dict(pairs)
 
 
-def parse_json(data: str | bytes):
-    """``json.loads`` that rejects an object with a repeated key.
-
-    ValueError for bytes that are not UTF-8 JSON or repeat a key, RecursionError
-    for nesting too deep; each caller maps these to its own CandlekitError.
-    """
-    return json.loads(data, object_pairs_hook=_unique_keys)
+def parse_json(data: str | bytes, what: str):
+    """``json.loads`` rejecting a repeated key; ManifestError naming ``what`` for bad JSON, UTF-8 or nesting."""
+    try:
+        return json.loads(data, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def write_atomic(path: str | Path, data: bytes | str) -> None:

@@ -115,12 +115,8 @@ def _parse_timestamp(text: str) -> int:
     text = text.strip()
     try:
         return int(text)
-    except ValueError:
-        pass
-    try:
+    except ValueError:  # parse_csv reports the ValueError of a date that is not ISO either
         return date.fromisoformat(text).toordinal()
-    except ValueError as exc:
-        raise BadRow(f"unparseable date {text!r}") from exc
 
 
 def _format_timestamp(ts: int) -> str:
@@ -191,8 +187,6 @@ def parse_csv(
             )
         except (BadRow, ValueError, IndexError) as exc:
             if on_bad_row == "strict":
-                if isinstance(exc, BadRow):
-                    raise
                 raise BadRow(f"line {lineno}: {exc}") from exc
             skipped += 1
             logger.warning("skipping bad row at line %d: %s", lineno, exc)

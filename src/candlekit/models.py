@@ -140,7 +140,7 @@ def model_input(x: np.ndarray) -> np.ndarray:
 def _tower_specs(in_shape: tuple[int, ...], widths: tuple[int, ...]) -> tuple[list, int]:
     """A conv tower's layers over ``in_shape`` and its flat output size."""
     specs: list = []
-    c = in_shape[0]
+    c = _channels(in_shape)
     for w in widths:
         specs.extend(
             [Conv2D(c, w, 3, 1, 1), ReLU(), Conv2D(w, w, 3, 1, 1), ReLU(), MaxPool2D(2, 2)]
@@ -148,6 +148,13 @@ def _tower_specs(in_shape: tuple[int, ...], widths: tuple[int, ...]) -> tuple[li
         c = w
     specs.append(Flatten())
     return specs, _chain_shape(specs, in_shape)[0]
+
+
+def _channels(shape: tuple[int, ...]) -> int:
+    """A (C, H, W) image shape's C, read before any stack is chained; InvalidShape for another rank."""
+    if len(shape) != 3:
+        raise InvalidShape(f"an image input is (C, H, W), got {shape}")
+    return shape[0]
 
 
 def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,7 +256,7 @@ class CAEModel(TowerModel):
 
     @staticmethod
     def stacks(cfg: ModelConfig) -> list:
-        c = cfg.input_shape[0]
+        c = _channels(cfg.input_shape)
         w1, w2 = cfg.block_widths[0], cfg.block_widths[min(1, len(cfg.block_widths) - 1)]
         convs = [Conv2D(c, w1, 3, 1, 1), ReLU(), MaxPool2D(2, 2), Conv2D(w1, w2, 3, 1, 1), ReLU(), MaxPool2D(2, 2)]
         code = _chain_shape(convs, cfg.input_shape)
@@ -366,10 +373,8 @@ class EvalReport:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties receive the mean rank of their group; each NaN is its own
-    group, ranked after every number in index order (``return_index`` makes the sort stable)."""
-    _, _, group, counts = np.unique(values, return_index=True, return_inverse=True,
-                                    return_counts=True, equal_nan=False)
+    """1-based ranks of finite ``values``; ties receive the mean rank of their group."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 

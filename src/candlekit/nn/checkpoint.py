@@ -39,30 +39,23 @@ def arrays_to_bytes(arrays: list[np.ndarray]) -> bytes:
 
 
 def bytes_to_arrays(data: bytes) -> list[np.ndarray]:
+    """A stream's arrays; MalformedHeader for a wrong magic or version, CorruptCheckpoint if it does not decode."""
     if data[:4] != MAGIC:
         raise MalformedHeader("not a checkpoint stream")
-    if len(data) < 12:
-        raise CorruptCheckpoint("checkpoint truncated in stream header")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != VERSION:
-        raise MalformedHeader(f"unsupported checkpoint version {version}")
-    pos = 12
-    arrays: list[np.ndarray] = []
-    for _ in range(count):
-        if pos + 4 > len(data):
-            raise CorruptCheckpoint("checkpoint truncated in array header")
-        (ndim,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + 4 * ndim > len(data):
-            raise CorruptCheckpoint("checkpoint truncated in dims")
-        dims = struct.unpack_from(f"<{ndim}I", data, pos)
-        pos += 4 * ndim
-        n_bytes = 4 * math.prod(dims)
-        if pos + n_bytes > len(data):
-            raise CorruptCheckpoint("checkpoint truncated in values")
-        arr = np.frombuffer(data[pos : pos + n_bytes], dtype="<f4").reshape(dims).copy()
-        arrays.append(arr)
-        pos += n_bytes
+    try:
+        version, count = struct.unpack_from("<II", data, 4)
+        if version != VERSION:
+            raise MalformedHeader(f"unsupported checkpoint version {version}")
+        pos = 12
+        arrays: list[np.ndarray] = []
+        for _ in range(count):
+            (ndim,) = struct.unpack_from("<I", data, pos)
+            dims = struct.unpack_from(f"<{ndim}I", data, pos + 4)
+            pos += 4 + 4 * ndim
+            arrays.append(np.frombuffer(data, "<f4", math.prod(dims), pos).reshape(dims).copy())
+            pos += arrays[-1].nbytes
+    except (struct.error, ValueError, OverflowError) as exc:  # short, over 64 dims, or too big for numpy
+        raise CorruptCheckpoint(f"checkpoint stream does not decode: {exc}") from exc
     if pos != len(data):
         raise CorruptCheckpoint(f"{len(data) - pos} bytes after the last checkpoint array")
     return arrays

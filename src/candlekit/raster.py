@@ -206,7 +206,10 @@ def read_ppm(data: bytes) -> RasterImage:
         m = _HEADER_INT.match(data, pos)
         if not m:
             raise MalformedHeader("expected integer in PPM header")
-        fields.append(int(m.group(0)))
+        try:
+            fields.append(int(m.group(0)))
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits() allows
+            raise MalformedHeader(f"PPM header integer too long: {exc}") from exc
         pos = m.end()
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise MalformedHeader("missing whitespace after maxval")

@@ -8,6 +8,7 @@ import os
 import re
 import shutil
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -59,6 +60,7 @@ from candlekit.patterns import Direction, PatternKind, PatternMatch, PatternRule
 from candlekit.raster import (
     RasterImage, RenderSpec, read_ppm, render_pattern, render_window, resize_nearest, write_ppm,
 )
+from conftest import DIMS_65, LONG_INT, mutated
 
 BASE_DOC = {
     "master_seed": 42,
@@ -203,6 +205,7 @@ class TestManifest:
         {"render": {"up_color": [0, 168.0, 0]}},
         {"pattern": {"doji_body_frac": float("nan")}},
         {"datasets": [{"name": "a", "synth": {"n": 50, "volatility": float("inf")}}]},
+        {"datasets": [{"name": "a", "synth": {"n": 800, "drift": 1000.0}}]},
         {"model": {"hist_hw": [4, 4]}},
         {"model": {"pattern_hw": [2, 2]}},
         {"arms": [{"arm_name": "with_pattern", "modle": "two_stream"}]},
@@ -224,7 +227,7 @@ class TestManifest:
         "two_stream-without-pattern", "mini_cnn-with-pattern", "train-seed",
         "epochs-float", "candle_px-float", "trend_lookback-float", "horizon-float",
         "lr-negative", "lr-nan", "epochs-bool", "chronological-str", "shuffled-split", "color-float",
-        "doji_body_frac-nan", "volatility-inf", "hist_hw-too-small-for-blocks",
+        "doji_body_frac-nan", "volatility-inf", "drift-overflow", "hist_hw-too-small-for-blocks",
         "pattern_hw-too-small-for-blocks", "arm-key-typo", "document-key-typo",
         "dataset-key-typo", "null-value", "synth-with-empty-members", "non-str-keys",
         "seed-negative", "seed-2^64",
@@ -542,6 +545,20 @@ class TestAssembly:
         except CandlekitError:
             return
         assert rows and all(isinstance(r, dict) and type(r["end_index"]) is int for r in rows)
+
+    ROWS = b"".join(json.dumps({"end_index": i, "strength": "weak", "history_image_path": "h.ppm",
+                                "pattern_image_path": "p.ppm"}).encode() + b"\n" for i in range(3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated(ROWS, chunks=(b"[" * 3000, b"\xff", b'"strength": "weak", ', b"{", b"}", b"NaN", b"\n"),
+                        spots=tuple(i + 1 for i, c in enumerate(ROWS) if c in b"{,:\n")))
+    def test_mutated_manifest_gives_rows_or_candlekit_error(self, tmp_path_factory, data):
+        ddir = tmp_path_factory.mktemp("rows")
+        (ddir / "manifest.jsonl").write_bytes(data)
+        try:
+            assert all(type(r["end_index"]) is int for r in load_manifest_rows(ddir))
+        except CandlekitError:
+            pass
 
     def test_planted_signal_balanced_and_native_size(self):
         ts = planted_signal_set(n_samples=40, seed=3)
@@ -954,13 +971,14 @@ class TestCli:
         ("sub", None),
         ("sub", "non_pattern"),
         ("non_pattern", b"CKPT\x01\x00"),
+        pytest.param("non_pattern", b"CKPT" + struct.pack("<II", 1, 1) + DIMS_65, id="non_pattern-65-dims"),
         ("non_pattern", None),
         ("non_pattern", "directory"),
     ])
     def test_eval_errors_exit_2(self, tmp_path, capsys, arm, checkpoint):
         # a subchart checkpoint path with no file; the non_pattern arm's arrays
         # handed to the subchart arm (12 arrays where the CAE and CNN1D hold 16);
-        # a 6-byte checkpoint; a checkpoint path with no file; a directory
+        # a 6-byte checkpoint; an array of 65 dims; a checkpoint path with no file; a directory
         ckpt = tmp_path / "model.ckpt"
         man_path = self._tiny_manifest(tmp_path)
         if checkpoint == "non_pattern":
@@ -1010,6 +1028,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["detect", "--csv", "nope.csv"],
         ["decompose", "--image", "nope.ppm"],
+        ["decompose", "--image", "long_int.ppm"],
         ["report", "--report-json", "nope.json"],
         ["detect", "--synth", "60", "--manifest", "bad.json"],
         ["report", "--report-json", "bad.json"],
@@ -1026,15 +1045,15 @@ class TestCli:
         ["experiment", "--manifest", "typo_document.json"],
         ["experiment", "--manifest", "typo_section.json"],
     ], ids=[
-        "csv-missing", "image-missing", "report-missing", "manifest-bad", "report-bad",
+        "csv-missing", "image-missing", "image-header-int-too-long", "report-missing", "manifest-bad", "report-bad",
         "csv-undecodable", "report-keyless", "csv-path-nul", "synth-drift-overflow",
         "synth-volatility-overflow", "hist_hw-too-small-for-blocks", "manifest-repeated-key",
         "report-repeated-key", "arm-key-typo", "dataset-key-typo", "document-key-typo",
         "section-key-typo",
     ])
     def test_file_input_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
-        # missing files, a file that is not JSON, a CSV with a byte that is not
-        # UTF-8, a report without the keys the renderer reads, a csv_path
+        # missing files, a PPM header integer too long to convert, a file that is not
+        # JSON, a CSV with a byte that is not UTF-8, a report without the keys the renderer reads, a csv_path
         # holding a NUL byte, synth values whose walk overflows a float, a
         # model section that the CNN arms cannot build from, a JSON object
         # that repeats a key, and a misspelled key at each level of a manifest
@@ -1061,6 +1080,7 @@ class TestCli:
         ):
             (tmp_path / f"typo_{name}.json").write_text(json.dumps(doc))
         (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "long_int.ppm").write_bytes(b"P6\n" + LONG_INT + b" 1\n255\n")
         (tmp_path / "undecodable.csv").write_bytes(
             b"Date,Open,High,Low,Close\n2020-01-01,1,2,0.5,1.5\n2020-01-02,1,2,0.5,\xff\n"
         )

@@ -102,7 +102,8 @@ def test_row_to_price_takes_a_row_or_an_array():
 
 
 @pytest.mark.parametrize("axis", [(2.0, 1.0), (float("nan"), 1.0), (1.0, float("nan")),
-                                  (0.0, float("inf")), (-float("inf"), 1.0)])
+                                  (0.0, float("inf")), (-float("inf"), 1.0),
+                                  (-1e308, 1e308), (-8e307, 8e307), (np.float64(-1e308), np.float64(1e308))])
 def test_reversed_or_non_finite_axis_is_bad_params(axis):
     w = CandleWindow(tuple(Candle(t, 10.0 + t, 12.0 + t, 9.0 + t, 11.0 + t) for t in range(3)), 2)
     with pytest.raises(BadParams):

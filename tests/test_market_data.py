@@ -25,7 +25,7 @@ from candlekit.errors import (
 )
 
 from candlekit.market_data import MAX_SYNTH_N
-from conftest import make_series
+from conftest import LONG_INT, make_series, mutated
 
 TOL = 1e-9
 
@@ -128,6 +128,17 @@ class TestParseCsv:
         except CandlekitError:
             return
         assert isinstance(s, Series)
+
+    CSV = write_csv(synth_series(3, 4)).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated(CSV, chunks=(b",", b"\n", b"\r", b'"', b"\x00", b"nan", b"-1e400", LONG_INT),
+                        spots=tuple(i + 1 for i, c in enumerate(CSV) if c in b",\n")))
+    def test_mutated_text_gives_series_or_candlekit_error_when_strict(self, data):
+        try:
+            assert isinstance(parse_csv(data.decode("latin-1"), on_bad_row="strict"), Series)
+        except CandlekitError:
+            pass
 
 
 class TestWriteCsv:

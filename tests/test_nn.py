@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import DIMS_65, HUGE_ZERO_DIMS, mutated
 from oracles import oracle_conv, oracle_maxpool, oracle_optimizer, oracle_upsample_grad
 
 from candlekit import nn
@@ -508,3 +509,12 @@ class TestCheckpoint:
         except CandlekitError:
             return
         assert nn.arrays_to_bytes(arrays) == data  # an accepted stream is canonical
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated(nn.arrays_to_bytes([np.arange(6, dtype=np.float32).reshape(2, 3), np.ones(4, np.float32)]),
+                        chunks=(DIMS_65, HUGE_ZERO_DIMS), spots=(8, 12, 48)))  # count, each array's ndim
+    def test_mutated_stream_gives_arrays_or_candlekit_error(self, data):
+        try:
+            assert nn.arrays_to_bytes(nn.bytes_to_arrays(data)) == data
+        except CandlekitError:
+            pass

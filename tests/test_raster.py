@@ -28,7 +28,7 @@ from candlekit.errors import (
 )
 from candlekit.raster import RasterImage, price_to_row
 
-from conftest import make_series
+from conftest import LONG_INT, make_series, mutated
 
 SPEC = RenderSpec()
 
@@ -176,6 +176,15 @@ class TestPpm:
         assert img.pixels.dtype == np.uint8 and img.pixels.shape[2] == 3
         if size is not None:
             assert img.pixels.shape == (size[1], size[0], 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=mutated(b"P6\n3 2\n255\n" + bytes(range(18)),
+                        chunks=(LONG_INT, b"#", b"# c\n", b" ", b"\n", b"0"), spots=(2, 3, 5, 7)))
+    def test_mutated_stream_gives_image_or_candlekit_error(self, data):
+        try:
+            assert isinstance(read_ppm(data), RasterImage)
+        except CandlekitError:
+            pass
 
 
 class TestResize:
