@@ -554,7 +554,11 @@ def run_experiment(man: ExperimentManifest, out_dir: str | Path | None = None) -
         built = dict(zip(names, run(_build, repeat(man), names, repeat(out_root))))
         dirs = {n: d for n, d in built.items() if isinstance(d, Path)}
         broken = [next((built[m] for m in _members(man, d) if m not in dirs), None) for d in ds_names]
-        rows = list(run(_pair, repeat(man), repeat(dirs), ds_names, arms, repeat(out_root), broken))
+        # the pairs that read sub-charts, the longest jobs, start first; rows keep manifest order
+        order = sorted(range(len(arms)), key=lambda i: "subcharts" not in MODELS[arms[i].model].reads)
+        done = dict(zip(order, run(_pair, repeat(man), repeat(dirs), [ds_names[i] for i in order],
+                                   [arms[i] for i in order], repeat(out_root), [broken[i] for i in order])))
+        rows = [done[i] for i in range(len(arms))]
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -1,11 +1,13 @@
 """OHLC series: CSV ingestion, seeded synthetic generation, windowing.
 
 CSV format: comma-separated, UTF-8, header row, ``.`` decimal separator.
-The ``Date`` column holds either an ISO-8601 calendar date (stored as its
-proleptic-Gregorian ordinal day index) or a bare integer index (used for
-timestamps before 1600, i.e. synthetic day counters); prices are written
-with up to 9 fractional digits, trailing zeros trimmed, so
-``parse_csv(write_csv(s))`` reproduces a series field-exactly.
+The ``Date`` column holds, in one form for the whole document, either
+``YYYY-MM-DD`` calendar dates (stored as their proleptic-Gregorian ordinal day
+index) or bare integer indexes (written for a series with a timestamp before
+1600, i.e. synthetic day counters); the first row read sets the form, and a
+row in the other form is a bad row. Prices are written with up to 9
+fractional digits, trailing zeros trimmed, so ``parse_csv(write_csv(s))``
+reproduces a series field-exactly.
 
 The synthetic generator is a geometric random walk,
 
@@ -26,6 +28,7 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
 from typing import Literal, get_args
@@ -35,8 +38,8 @@ from .rng import Rng
 
 logger = logging.getLogger(__name__)
 
-# Timestamps below this ordinal (1600-01-01) are treated as bare indexes
-# when writing CSV; real market dates always land above it.
+# A series with a timestamp below this ordinal (1600-01-01) is written to CSV
+# with bare indexes; real market dates always land above it.
 _MIN_ISO_ORDINAL = date(1600, 1, 1).toordinal()
 _MAX_ORDINAL = date.max.toordinal()
 
@@ -111,18 +114,15 @@ class ColumnMap:
 BadRowPolicy = Literal["strict", "skip_with_warning"]
 
 
-def _parse_timestamp(text: str) -> int:
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_timestamp(text: str) -> tuple[int, bool]:
+    """(timestamp, whether the cell is a date): a YYYY-MM-DD date as its ordinal, else an integer."""
     text = text.strip()
-    try:
-        return int(text)
-    except ValueError:  # parse_csv reports the ValueError of a date that is not ISO either
-        return date.fromisoformat(text).toordinal()
-
-
-def _format_timestamp(ts: int) -> str:
-    if _MIN_ISO_ORDINAL <= ts <= _MAX_ORDINAL:
-        return date.fromordinal(ts).isoformat()
-    return str(ts)
+    if _ISO_DATE.fullmatch(text):
+        return date.fromisoformat(text).toordinal(), True
+    return int(text), False  # parse_csv reports the ValueError of a cell in neither form
 
 
 def format_price(p: float) -> str:
@@ -174,12 +174,17 @@ def parse_csv(
 
     candles: list[Candle] = []
     skipped = 0
+    dates = None  # whether the document's date cells are dates, once a row has been read
     for lineno, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
+            ts, is_date = _parse_timestamp(row[idx["date"]])
+            if dates is not None and is_date != dates:
+                form = "a YYYY-MM-DD date" if dates else "an integer"
+                raise BadRow(f"date cell {row[idx['date']]!r} is not {form}, as the first row's is")
             candle = Candle(
-                timestamp=_parse_timestamp(row[idx["date"]]),
+                timestamp=ts,
                 open=float(row[idx["open"]]),
                 high=float(row[idx["high"]]),
                 low=float(row[idx["low"]]),
@@ -191,6 +196,7 @@ def parse_csv(
             skipped += 1
             logger.warning("skipping bad row at line %d: %s", lineno, exc)
             continue
+        dates = is_date
         candles.append(candle)
 
     if skipped:
@@ -199,7 +205,9 @@ def parse_csv(
 
 
 def write_csv(series: Series, column_map: ColumnMap = ColumnMap()) -> str:
-    """Emit a Series as CSV; inverse of :func:`parse_csv` field-for-field."""
+    """Emit a Series as CSV; inverse of :func:`parse_csv` field-for-field. Dates are
+    YYYY-MM-DD unless a timestamp lies outside 1600-01-01..9999-12-31, then all are integers."""
+    dates = all(_MIN_ISO_ORDINAL <= c.timestamp <= _MAX_ORDINAL for c in series.candles)
     lines = [
         ",".join(
             (column_map.date, column_map.open, column_map.high, column_map.low, column_map.close)
@@ -209,7 +217,7 @@ def write_csv(series: Series, column_map: ColumnMap = ColumnMap()) -> str:
         lines.append(
             ",".join(
                 (
-                    _format_timestamp(c.timestamp),
+                    date.fromordinal(c.timestamp).isoformat() if dates else str(c.timestamp),
                     format_price(c.open),
                     format_price(c.high),
                     format_price(c.low),

@@ -8,14 +8,18 @@ runs in float32; gradient checking builds float64 parameters.
 
 Convolution and max-pool have one implementation for 1-D and 2-D: the spec
 classes differ only in their ``rank`` (the number of spatial axes). Conv pads
-its input once into a flat zero buffer (N, C, padded size + a row - 1), where
-each tap's patch row is one contiguous slice, and works on the stride-1 grid
-of whole padded rows: forward is one batched matmul over the channel-first
-patches, keeping every stride-th output of each row but its last k-1. Backward
-rebuilds them for the weight gradient; the input gradient is the kernel,
-flipped on every axis and in/out swapped, times the output gradient's patches
-at the last tap's offset. Max-pool forward keeps the max of the tap views;
-backward adds each output to its first equal tap, row-major.
+its input once into a flat zero buffer, where each tap's patch row is one
+contiguous slice at the tap's flat offset, and works on the stride-1 grid of
+whole padded rows, keeping every stride-th output of each row but its last
+k-1. It copies only row patches: one row per channel and leading-axis tap
+(for rank 1, the buffer itself), k - 1 columns longer than the grid, so the
+last axis's k taps are column shifts of them (a low-memory GEMM lowering, as
+in Anderson et al. 2017). Forward is a sum of k batched matmuls, one per
+shift; the weight gradient is one matmul per shift, rebuilding the row
+patches; the input gradient is the same shifted sum with the kernel flipped on
+every axis and in/out swapped, over the output gradient's row patches at the
+last tap's offset. Max-pool forward keeps the max of the tap views; backward
+adds each output to its first equal tap, row-major.
 
 One shape law, :func:`output_shape`, checks every layer: first the spec's own
 sizes (BadSpec), then the input's per-sample shape (InvalidShape). A stack
@@ -212,11 +216,19 @@ def _interior(buf: np.ndarray, padded: tuple[int, ...], pad: int, spatial: tuple
 
 
 def _patches(buf: np.ndarray, k: int, padded: tuple, grid: tuple) -> np.ndarray:
-    """Flat padded buffer -> channel-first patches (N, C * k**rank, grid size)."""
-    n, c, size = *buf.shape[:2], math.prod(grid)
-    v = sliding_window_view(buf, size, axis=-1)[:, :, : k * math.prod(padded[1:])]
-    v = v.reshape(n, c, k, *padded[1:], size)[(slice(None),) * 3 + (slice(0, k),) * (len(grid) - 1)]
-    return v.reshape(n, c * k ** len(grid), size)
+    """Flat padded buffer -> row patches (N, C * k**(rank-1), grid size + k - 1), rank 1 or 2:
+    one row per channel and leading-axis tap, whose column shift j is last-axis tap j."""
+    row = padded[-1]
+    v = sliding_window_view(buf, math.prod(grid) + k - 1, axis=-1)[:, :, : k ** (len(grid) - 1) * row : row]
+    return v.reshape(len(buf), -1, v.shape[-1])  # a copy for rank 2; a view of ``buf`` for rank 1
+
+
+def _shifted(w: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    """Sum over j of w[..., j] @ rows[..., j : j + size]: a conv over row patches."""
+    out = w[..., 0].reshape(len(w), -1) @ rows[..., :size]
+    for j in range(1, w.shape[-1]):
+        out += w[..., j].reshape(len(w), -1) @ rows[..., j : j + size]
+    return out
 
 
 def forward(spec: LayerSpec, params: Params | None, x: np.ndarray):
@@ -230,10 +242,10 @@ def forward(spec: LayerSpec, params: Params | None, x: np.ndarray):
         r, k, s, p = spec.rank, spec.kernel, spec.stride, spec.pad
         padded = tuple(n + 2 * p for n in x.shape[2:])
         grid = (padded[0] - k + 1, *padded[1:])  # stride-1 outputs over whole padded rows
-        # the last taps' slices run up to a row - 1 past the padded input
-        buf = np.zeros((*x.shape[:2], math.prod(padded) + math.prod(grid[1:]) - 1), dtype=x.dtype)
+        # the last row patch ends up to k - 1 past the padded input
+        buf = np.zeros((*x.shape[:2], math.prod(padded) + k - 1), dtype=x.dtype)
         _interior(buf, padded, p, x.shape[2:])[...] = x
-        out = params.weight.reshape(spec.out_ch, -1) @ _patches(buf, k, padded, grid)
+        out = _shifted(params.weight, _patches(buf, k, padded, grid), math.prod(grid))
         out = out.reshape(*out.shape[:2], *grid)[_taps(1, s, dims)[0]]
         return out + params.bias[(slice(None),) + (None,) * r], (x.shape, buf, padded, grid)
     if isinstance(spec, _POOL):
@@ -267,18 +279,20 @@ def backward(spec: LayerSpec, params: Params | None, cache, grad_out: np.ndarray
         return None
     if isinstance(spec, _CONV):
         (x_shape, buf, padded, grid), (n, o), k = cache, grad_out.shape[:2], spec.kernel
-        last = np.ravel_multi_index((k - 1,) * spec.rank, padded)
-        dbuf = np.zeros((n, o, math.prod(padded) + k * math.prod(padded[1:]) - 1), grad_out.dtype)
-        dgrid = dbuf[..., last : last + math.prod(grid)]  # tap t's patch row: dgrid at -offset(t)
+        last, size = np.ravel_multi_index((k - 1,) * spec.rank, padded), math.prod(grid)
+        dbuf = np.zeros((n, o, last + math.prod(padded)), grad_out.dtype)
+        dgrid = dbuf[..., last : last + size]  # tap t's patch row: dgrid at -offset(t)
         dgrid.reshape(n, o, *grid)[_taps(1, spec.stride, grad_out.shape[2:])[0]] = grad_out
-        cols = _patches(buf, spec.kernel, padded, grid)
-        params.grad_w += (dgrid @ cols.transpose(0, 2, 1)).sum(0).reshape(params.weight.shape)
+        rows = _patches(buf, k, padded, grid)
+        for j in range(k):
+            dw = (dgrid @ rows[..., j : j + size].transpose(0, 2, 1)).sum(0)
+            params.grad_w[..., j] += dw.reshape(params.grad_w.shape[:-1])
         params.grad_b += grad_out.reshape(n, o, -1).sum(axis=(0, 2))
-        del cols  # released before dx's patches are built, to keep peak memory down
+        del rows  # released before dx's row patches are built, to keep peak memory down
         if not need_dx:
             return None
-        flip = params.weight.reshape(o, spec.in_ch, -1)[..., ::-1].transpose(1, 0, 2)
-        dx = flip.reshape(spec.in_ch, -1) @ _patches(dbuf, k, padded, padded)
+        flip = np.flip(params.weight, tuple(range(2, 2 + spec.rank))).swapaxes(0, 1)
+        dx = _shifted(flip, _patches(dbuf, k, padded, padded), math.prod(padded))
         return _interior(dx, padded, spec.pad, x_shape[2:])
     if isinstance(spec, _POOL):
         x, y = cache

@@ -672,6 +672,17 @@ def usable_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+PAIR = experiment._pair
+
+
+def pair_logging_its_start(man, dirs, ds_name, arm, out_root, broken):
+    """``experiment._pair``, after appending "<dataset> <arm>" to ``<out_root>.starts`` as it starts.
+    Module-level, so a pool sends it by name: a local function does not pickle."""
+    with open(out_root.with_suffix(".starts"), "a") as log:
+        log.write(f"{ds_name} {arm.arm_name}\n")
+    return PAIR(man, dirs, ds_name, arm, out_root, broken)
+
+
 def alive(pid: int) -> bool:
     """Whether process ``pid`` runs; a zombie, dead but not yet reaped, counts as exited."""
     try:
@@ -719,6 +730,26 @@ class TestWorkers:
         in_process, pooled = ({int(p.name) for p in (tmp_path / f"pids{n}").iterdir()} for n in (1, 2))
         assert in_process == {os.getpid()}
         assert pooled and os.getpid() not in pooled
+
+    def test_subchart_pairs_start_first(self, tmp_path, monkeypatch, alarm):
+        doc = {"datasets": BASE_DOC["datasets"][:2],
+               "arms": BASE_DOC["arms"] + [{"arm_name": "subchart", "model": "subchart"}]}
+        monkeypatch.setattr(experiment, "_pair", pair_logging_its_start)
+        rows, starts = {}, {}
+        for n in (1, 2):
+            usable_cpus(monkeypatch, n)
+            rows[n] = run_experiment(manifest(tmp_path, output_dir=f"cpus{n}", **doc)).rows
+            starts[n] = (tmp_path / f"cpus{n}.starts").read_text().splitlines()
+        assert [(r["dataset"], r["arm"]) for r in rows[1]] == [
+            (d, a) for d in ("alpha", "beta") for a in ("with_pattern", "non_pattern", "subchart")]
+        assert all(r["status"] == "ok" for r in rows[1])
+        assert rows[1] == rows[2]
+        assert tree(tmp_path / "cpus1") == tree(tmp_path / "cpus2")
+        first = ["alpha subchart", "beta subchart"]
+        rest = [f"{d} {a}" for d in ("alpha", "beta") for a in ("with_pattern", "non_pattern")]
+        assert starts[1] == first + rest
+        # two workers take the first two jobs before either one ends
+        assert sorted(starts[2][:2]) == first and sorted(starts[2]) == sorted(starts[1])
 
     @pytest.mark.parametrize("n", [1, 2], ids=["in-process", "pool"])
     def test_interrupt_in_a_pair_propagates(self, tmp_path, monkeypatch, alarm, n):

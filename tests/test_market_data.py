@@ -1,4 +1,5 @@
 import math
+from datetime import date
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,32 @@ class TestParseCsv:
         s = parse_csv(text, cm)
         assert s[0].high == 3.0 and s[0].low == 0.5
 
+    @pytest.mark.parametrize("first, other", [("2020-01-07", "20200108"), ("737431", "2020-01-08")],
+                             ids=["date-then-integer", "integer-then-date"])
+    def test_a_row_in_the_other_date_form_is_bad(self, first, other, caplog):
+        # the first row read sets the document's date form
+        text = f"Date,Open,High,Low,Close\n{first},100,101,99,100\n{other},100,101,99,100\n"
+        with pytest.raises(BadRow, match="line 3"):
+            parse_csv(text, on_bad_row="strict")
+        with caplog.at_level("WARNING"):
+            s = parse_csv(text)
+        assert len(s) == 1 and "skipping bad row at line 3" in caplog.text
+
+    def test_a_skipped_row_does_not_set_the_date_form(self):
+        text = "Date,Open,High,Low,Close\n2020-01-07,x,101,99,100\n5,100,101,99,100\n"
+        assert parse_csv(text)[0].timestamp == 5
+
+    @pytest.mark.parametrize("cell", [
+        "2020-W01-1", "2020-008", "2020-1-8", "2020-01-08T00:00", "２０２０-01-08",
+    ])
+    def test_only_yyyy_mm_dd_is_a_date(self, cell):
+        # each parses with date.fromisoformat on some Python version
+        with pytest.raises(BadRow):
+            parse_csv(f"Date,Open,High,Low,Close\n{cell},100,101,99,100\n", on_bad_row="strict")
+
+    def test_a_basic_format_date_is_an_integer(self):
+        assert parse_csv("Date,Open,High,Low,Close\n20200108,100,101,99,100\n")[0].timestamp == 20200108
+
     @pytest.mark.parametrize("policy", ["strict", "skip_with_warning"])
     @pytest.mark.parametrize("row", ["2020-01-01,1,2,0.5\r1.5", "2020-01-01," + "9" * 200_000],
                              ids=["bare-cr", "over-long-field"])
@@ -151,13 +178,19 @@ class TestWriteCsv:
                 assert abs(getattr(a, f) - getattr(b, f)) <= TOL
 
     def test_iso_dates_round_trip(self):
-        from datetime import date
-
         ordinal = date(2017, 1, 3).toordinal()
         c = Candle(timestamp=ordinal, open=1.0, high=2.0, low=0.5, close=1.5)
         text = write_csv(Series(symbol="T", candles=(c,)))
         assert "2017-01-03" in text
         assert parse_csv(text).candles[0].timestamp == ordinal
+
+    @pytest.mark.parametrize("first", [
+        date(1600, 1, 1).toordinal() - 1, date(2017, 1, 3).toordinal(), date.max.toordinal() - 1, -5,
+    ], ids=["straddles-1600", "dates", "last-date", "negative"])
+    def test_timestamps_round_trip_in_one_date_form(self, first):
+        s = Series(symbol="T", candles=tuple(
+            Candle(timestamp=first + i, open=1.0, high=2.0, low=0.5, close=1.5) for i in range(2)))
+        assert parse_csv(write_csv(s), on_bad_row="strict").candles == s.candles
 
     def test_trailing_zeros_trimmed(self):
         s = make_series([(100.0, 102.5, 99.25, 101.0)])

@@ -258,6 +258,29 @@ class TestOracles:
         for got, expected in zip((y, dx, params.grad_w, params.grad_b), want):
             assert _close(_rows(got, r) if got.ndim > 1 else got, expected, dtype)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_conv_property(self, data):
+        rank, k, stride, pad = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 2), (1, 5), (1, 3), (0, 2)))
+        # rows barely wider than the kernel: a tap's column shift runs into the next padded row
+        low = max(1, k - 2 * pad)
+        width = data.draw(st.integers(low, low + 3))
+        height = data.draw(st.sampled_from([h for h in range(low, low + 4) if h != width]))
+        c_in, c_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        spec = (nn.Conv1D, nn.Conv2D)[rank - 1](c_in, c_out, k, stride=stride, pad=pad)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((2, c_in, height, width)[: rank + 1] + (width,))
+        params = nn.init_params(spec, 5, np.float64)
+        params.bias[...] = rng.standard_normal(c_out)
+        y, cache = nn.forward(spec, params, x)
+        g = rng.standard_normal(y.shape)
+        dx = nn.backward(spec, params, cache, g)
+        pad2 = (pad, pad) if rank == 2 else (0, pad)
+        want = oracle_conv(_rows(x, rank).tolist(), _rows(params.weight, rank).tolist(),
+                           params.bias.tolist(), stride, pad2, _rows(g, rank).tolist())
+        for got, expected in zip((y, dx, params.grad_w, params.grad_b), want):
+            assert _close(_rows(got, rank) if got.ndim > 1 else got, expected, np.float64)
+
     @pytest.mark.parametrize("dtype", ORACLE_DTYPES, ids=lambda d: d.__name__)
     @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
     @pytest.mark.parametrize("spec", [

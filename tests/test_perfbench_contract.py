@@ -10,9 +10,11 @@ import types
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
-from candlekit import datasets, decompose, experiment
+from candlekit import datasets, decompose, experiment, nn
+from candlekit.nn import layers
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +56,23 @@ def test_run_arm_takes_the_arm_fourth():
     # the tracer names each run_arm span from args[3].arm_name
     name = list(inspect.signature(experiment.run_arm).parameters)[3]
     assert get_type_hints(experiment.run_arm)[name] is experiment.ArmSpec
+
+
+def test_conv2d_builds_patches_through_the_name_the_tracer_wraps(monkeypatch):
+    # the tracer wraps layers.sliding_window_view only if the module has that name, and sees
+    # only the calls made through it; else nn.conv2d.bwd_im2col_ratio silently reads 0
+    assert "sliding_window_view" in vars(layers)
+    calls = []
+    view = layers.sliding_window_view
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return view(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "sliding_window_view", counted)
+    spec = nn.Conv2D(2, 3, 3, pad=1)
+    params = nn.init_params(spec, 0)
+    y, cache = nn.forward(spec, params, np.ones((2, 2, 5, 6), np.float32))
+    forward_calls = len(calls)
+    nn.backward(spec, params, cache, np.ones_like(y))
+    assert forward_calls > 0 and len(calls) > forward_calls
