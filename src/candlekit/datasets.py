@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .decompose import subchart_spans
-from .errors import EmptyDataset, ManifestError, ShapeMismatch
+from .errors import BadParams, EmptyDataset, ManifestError, ShapeMismatch
 from .fileio import parse_json, read_input
 from .market_data import Candle, CandleWindow
 from .models import TrainingSet, model_input
@@ -161,9 +161,12 @@ def planted_signal_set(
     fraction from U(0.02, 0.30) when i is even and U(0.60, 0.95) when i is
     odd, which pins the median inside the gap and balances the classes.
     ``history`` holds the charts' (3, 32, 32) uint8 pixels, as the assemblers' streams do.
+    BadParams unless ``n_samples`` and ``n_candles`` are at least 1.
     """
+    if n_samples < 1 or n_candles < 1:
+        raise BadParams(f"n_samples and n_candles must be >= 1, got {n_samples} and {n_candles}")
     rng = Rng(derive_seed(seed, "planted-signal"))
-    windows: list[CandleWindow] = []
+    images = np.empty((n_samples, 3, spec.height_px, spec.chart_width(n_candles)), dtype=np.uint8)
     fracs: list[float] = []
     for i in range(n_samples):
         candles = []
@@ -181,9 +184,9 @@ def planted_signal_set(
         bullish = rng.uniform() < 0.5
         candles.append(_candle(n_candles - 1, level, 4.0, frac, bullish))
         fracs.append(frac)
-        windows.append(CandleWindow(candles=tuple(candles), source_end_index=n_candles - 1))
+        window = CandleWindow(candles=tuple(candles), source_end_index=n_candles - 1)
+        images[i] = render_window(window, spec).pixels.transpose(2, 0, 1)
 
     median = float(np.median(fracs))
     labels = np.asarray([1.0 if f > median else 0.0 for f in fracs], dtype=np.float32)
-    images = np.stack([render_window(w, spec).pixels.transpose(2, 0, 1) for w in windows])
     return TrainingSet(labels=labels, order=np.arange(n_samples, dtype=np.int64), history=images)

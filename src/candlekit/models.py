@@ -2,11 +2,13 @@
 
 Every arm's model is a :class:`Model`, which :func:`build_model`,
 :func:`train` and :func:`predict` handle alike. Each model class names the
-:class:`TrainingSet` streams it reads, in ``reads``, and its ``forward``
-takes a tuple of those arrays in that order; :func:`batch_inputs` is the one
-place that fetches them. Each class also declares its layers once, in
-``stacks(cfg)``: one (layer specs, input shape, seed tag) entry per
-``Sequential``, in checkpoint order. :func:`check_shapes` walks those
+:class:`TrainingSet` streams it reads, in ``reads``, and its ``forward`` and
+``predict`` take a tuple of those arrays in that order; :func:`batch_inputs`
+is the one place that fetches them. ``forward`` is for training: it returns
+the backward caches that ``backward`` consumes. ``predict`` is for inference
+(:func:`predict`, the CAE's encoding) and keeps none. Each class also declares
+its layers once, in ``stacks(cfg)``: one (layer specs, input shape, seed tag)
+entry per ``Sequential``, in checkpoint order. :func:`check_shapes` walks those
 stacks without building weights, so a config can be checked before use.
 
 MiniCNN is B blocks of [Conv3x3, ReLU, Conv3x3, ReLU, MaxPool2x2] with the
@@ -65,6 +67,8 @@ from .nn import (
 from .rng import Rng, derive_seed
 
 # Rows per forward-only pass: at 256 a conv's patch matrix reached 8-30 MB and ran slower per image.
+# At 32, W1's peak fell 5.3 MB more, but each pass took 340k-509k page faults against about 100k,
+# and W1's samples/s fell from 3,846 to 3,322 (median of 4 pairs).
 _PREDICT_CHUNK = 64
 
 
@@ -165,9 +169,10 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Model:
-    """What every arm's model offers: ``forward`` over a tuple of one array per stream in ``reads``,
-    and ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a ``Sequential``.
-    Every ``forward`` first passes its input to ``_checked_inputs``, the one check of that tuple."""
+    """What every arm's model offers: ``forward`` (training: output and backward caches) and
+    ``predict`` (inference: the same output, no caches) over a tuple of one array per stream in
+    ``reads``, and ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a
+    ``Sequential``. Both first pass their input to ``_checked_inputs``, the one check of that tuple."""
 
     reads: tuple[str, ...]
 
@@ -201,16 +206,21 @@ class TowerModel(Model):
         self.output_shape = self.parts[-1].output_shape
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
-        outs, caches = [], []
-        for tower, x in zip(self.towers, self._checked_inputs(inputs)):
-            y, cache = tower.forward(model_input(x))
-            outs.append(y)
-            caches.append(cache)
+        caches = [[] for _ in self.parts]
+        return self._run(inputs, caches), caches
+
+    def predict(self, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
+        return self._run(inputs, [None] * len(self.parts))
+
+    def _run(self, inputs: tuple[np.ndarray, ...], caches: list) -> np.ndarray:
+        """The one tower/head path; ``caches`` holds one slot per part, a list to fill or None.
+        Each part's input is made in the call to its layer loop, so only that loop holds it."""
+        outs = [tower._run(model_input(x), c)
+                for tower, x, c in zip(self.towers, self._checked_inputs(inputs), caches)]
         y = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
         if self.head is not None:
-            y, cache = self.head.forward(y)
-            caches.append(cache)
-        return (y.reshape(-1) if self.output_shape == (1,) else y), caches
+            y = self.head._run(y, caches[-1])
+        return y.reshape(-1) if self.output_shape == (1,) else y
 
     def backward(self, grad: np.ndarray, caches) -> None:
         grad = grad.reshape((-1,) + self.output_shape)
@@ -321,6 +331,10 @@ class Decomposer(Model):
         (stacks,) = self._checked_inputs(inputs)
         return self.cnn1d.forward((self.encode(stacks),))
 
+    def predict(self, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
+        (stacks,) = self._checked_inputs(inputs)
+        return self.cnn1d.predict((self.encode(stacks),))
+
 
 def _chunks(arrays: tuple[np.ndarray, ...]):
     """Tuples of the same ``_PREDICT_CHUNK`` consecutive rows of every array."""
@@ -420,8 +434,9 @@ def batch_inputs(model: Model, ts: TrainingSet, idx: np.ndarray | slice) -> tupl
 
 
 def predict(model: Model, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Deterministic forward pass over a tuple of input streams; probabilities in (0, 1)."""
-    return np.concatenate([model.forward(c)[0] for c in _chunks(inputs)], axis=0)
+    """Deterministic inference pass over a tuple of input streams, ``_PREDICT_CHUNK`` rows at a
+    time; probabilities in (0, 1)."""
+    return np.concatenate([model.predict(c) for c in _chunks(inputs)], axis=0)
 
 
 # --- splits and training ---------------------------------------------------

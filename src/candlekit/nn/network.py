@@ -1,7 +1,10 @@
-"""Layer stacks with build-time shape validation. NaN and inf are checked where values
-enter (``forward``'s input and output, ``set_arrays``) or change (``models._fit``), not
-per layer: an inf put in ``Params`` by hand can give a finite forward-only output, as
-ReLU and max-pool drop -inf and sigmoid maps +-inf to 1 or 0."""
+"""Layer stacks with build-time shape validation. ``forward`` is the training pass: it
+returns every layer's backward cache, and ``backward`` consumes them, freeing each one
+once its layer's gradient is out. ``predict`` is the inference pass and keeps no cache.
+NaN and inf are checked where values enter (the input and output of ``forward`` and
+``predict``, ``set_arrays``) or change (``models._fit``), not per layer: an inf put in
+``Params`` by hand can give a finite forward-only output, as ReLU and max-pool drop -inf
+and sigmoid maps +-inf to 1 or 0."""
 
 from __future__ import annotations
 
@@ -32,33 +35,46 @@ class Sequential:
         self.params: list[Params | None] = [init_params(s, sm.next_u64()) for s in self.specs]
 
     def forward(self, x: np.ndarray):
-        """Output and per-layer caches; NonFiniteValue on a NaN or inf in the input or output.
+        """Output and per-layer caches, for ``backward``; NonFiniteValue on a NaN or inf in the
+        input or output."""
+        caches = []
+        return self._run(x, caches), caches
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """``forward``'s output, keeping no cache: each layer's is dropped once the next layer
+        has its input."""
+        return self._run(x, None)
+
+    def _run(self, x: np.ndarray, caches: list | None) -> np.ndarray:
+        """The one layer loop: each layer's cache is appended to ``caches``, or dropped when it is None.
 
         numpy's overflow and invalid-value warnings are silenced in the layers, as the
-        output check that follows turns what they warn of into that one error."""
+        output check that follows turns what they warn of into one NonFiniteValue."""
         if not np.isfinite(x).all():
             raise NonFiniteValue("non-finite values in the stack's input")
-        caches = []
         with np.errstate(over="ignore", invalid="ignore"):
             for spec, p in zip(self.specs, self.params):
                 x, cache = forward(spec, p, x)
-                caches.append(cache)
+                if caches is not None:
+                    caches.append(cache)
+                del cache  # not held while the next layer runs
         if not np.isfinite(x).all():
             raise NonFiniteValue("non-finite values in the stack's output")
-        return x, caches
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        y, _ = self.forward(x)
-        return y
+        return x
 
     def backward(self, grad: np.ndarray, caches: list, *, _input_grad: bool = True):
         """Gradient w.r.t. the stack's input, accumulating parameter gradients.
+
+        Consumes ``caches`` from ``forward``: each slot is set to None once its layer's
+        gradient is out, so a layer's cache is not alive in the backward of the layers
+        before it, and the list cannot feed a second backward.
 
         A model passes ``_input_grad=False`` for a tower that takes data: the
         first layer then skips its input gradient and None comes back.
         """
         for i in reversed(range(len(self.specs))):
             grad = backward(self.specs[i], self.params[i], caches[i], grad, need_dx=i > 0 or _input_grad)
+            caches[i] = None
         return grad
 
     def trainable(self) -> list[Params]:

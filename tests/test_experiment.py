@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -32,6 +33,7 @@ from candlekit.datasets import (
 )
 from candlekit.decompose import subcharts
 from candlekit.errors import (
+    BadParams,
     CandlekitError,
     EmptyDataset,
     ManifestError,
@@ -564,6 +566,31 @@ class TestAssembly:
         ts = planted_signal_set(n_samples=40, seed=3)
         assert ts.history.shape == (40, 3, 32, 32)
         assert ts.labels.mean() == 0.5
+
+    @pytest.mark.parametrize("n_samples, n_candles", [(0, 4), (4, 0), (4, -1)])
+    def test_planted_signal_needs_a_sample_and_a_candle(self, n_samples, n_candles):
+        with pytest.raises(BadParams):
+            planted_signal_set(n_samples=n_samples, n_candles=n_candles)
+
+    def test_planted_signal_renders_each_chart_in_place(self, monkeypatch):
+        # the one (N, 3, H, W) array holds what stacking every chart's transposed pixels gave;
+        # the digest is that stack's, from the build that stacked them
+        from candlekit import datasets
+
+        rendered, real = [], datasets.render_window
+
+        def render(window, spec):
+            img = real(window, spec)
+            rendered.append(img.pixels)
+            return img
+
+        monkeypatch.setattr(datasets, "render_window", render)
+        ts = planted_signal_set(n_samples=40, seed=3)
+        stacked = np.stack([px.transpose(2, 0, 1) for px in rendered])
+        assert ts.history.dtype == np.uint8 and ts.history.flags.c_contiguous
+        assert np.array_equal(ts.history, stacked)
+        assert hashlib.sha256(ts.history.tobytes()).hexdigest() == (
+            "3f4178d556319a092d4754766af3ac90f677aa8a803cdd5b4357785318cd4ae0")
 
     def test_image_to_array_range(self, tmp_path):
         man = manifest(tmp_path)

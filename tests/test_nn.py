@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,25 @@ class TestSequential:
         with np.errstate(all="ignore"):
             out = net.predict(np.ones((1, 2), dtype=np.float32))
         assert np.isfinite(out).all() and np.allclose(out, [expected], atol=1e-6)  # sigmoid clips to 1e-7
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_predict_checks_its_input_as_forward_does(self, value):
+        net = nn.Sequential([nn.ReLU(), nn.Dense(3, 1)], (3,), seed=0)
+        x = np.array([[value, -1.0, 2.0]], dtype=np.float32)
+        for run in (net.forward, net.predict):
+            with pytest.raises(NonFiniteValue, match="input"):
+                run(x)
+
+    def test_backward_consumes_the_caches(self):
+        # each slot is None once backward is past it, and the first conv's padded input
+        # buffer, which only its cache holds, is freed
+        specs = [nn.Conv2D(1, 2, 3, pad=1), nn.ReLU(), nn.MaxPool2D(2, 2), nn.Flatten(), nn.Dense(8, 1)]
+        net = nn.Sequential(specs, (1, 4, 4), seed=0)
+        y, caches = net.forward(np.random.default_rng(0).random((3, 1, 4, 4)).astype(np.float32))
+        buf = weakref.ref(caches[0][1])
+        net.backward(np.ones_like(y), caches)
+        assert caches == [None] * len(specs)
+        assert buf() is None
 
     def test_set_arrays_round_trip(self):
         specs = [nn.Conv2D(1, 2, 3, pad=1), nn.ReLU(), nn.Flatten(), nn.Dense(32, 1)]
