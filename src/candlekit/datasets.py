@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .decompose import subchart_spans
-from .errors import BadParams, EmptyDataset, ManifestError, ShapeMismatch
+from .errors import EmptyDataset, ManifestError, ShapeMismatch
 from .fileio import parse_json, read_input
 from .market_data import Candle, CandleWindow
 from .models import TrainingSet, model_input
@@ -161,10 +161,7 @@ def planted_signal_set(
     fraction from U(0.02, 0.30) when i is even and U(0.60, 0.95) when i is
     odd, which pins the median inside the gap and balances the classes.
     ``history`` holds the charts' (3, 32, 32) uint8 pixels, as the assemblers' streams do.
-    BadParams unless ``n_samples`` and ``n_candles`` are at least 1.
     """
-    if n_samples < 1 or n_candles < 1:
-        raise BadParams(f"n_samples and n_candles must be >= 1, got {n_samples} and {n_candles}")
     rng = Rng(derive_seed(seed, "planted-signal"))
     images = np.empty((n_samples, 3, spec.height_px, spec.chart_width(n_candles)), dtype=np.uint8)
     fracs: list[float] = []

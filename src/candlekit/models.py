@@ -2,11 +2,12 @@
 
 Every arm's model is a :class:`Model`, which :func:`build_model`,
 :func:`train` and :func:`predict` handle alike. Each model class names the
-:class:`TrainingSet` streams it reads, in ``reads``, and its ``forward`` and
-``predict`` take a tuple of those arrays in that order; :func:`batch_inputs`
-is the one place that fetches them. ``forward`` is for training: it returns
-the backward caches that ``backward`` consumes. ``predict`` is for inference
-(:func:`predict`, the CAE's encoding) and keeps none. Each class also declares
+:class:`TrainingSet` streams it reads, in ``reads``, and its ``predict`` (and
+a tower model's ``forward``) takes a tuple of those arrays in that order;
+:func:`batch_inputs` is the one place that fetches them. ``forward`` is for
+training: it returns the backward caches that ``backward`` consumes.
+``predict`` is for inference (:func:`predict`, the CAE's encoding) and keeps
+none. Each class also declares
 its layers once, in ``stacks(cfg)``: one (layer specs, input shape, seed tag)
 entry per ``Sequential``, in checkpoint order. :func:`check_shapes` walks those
 stacks without building weights, so a config can be checked before use.
@@ -169,10 +170,11 @@ def _chain_shape(specs: list, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class Model:
-    """What every arm's model offers: ``forward`` (training: output and backward caches) and
-    ``predict`` (inference: the same output, no caches) over a tuple of one array per stream in
-    ``reads``, and ``trainable``/``arrays``/``set_arrays`` over ``parts`` in checkpoint order, as a
-    ``Sequential``. Both first pass their input to ``_checked_inputs``, the one check of that tuple."""
+    """What every arm's model offers: ``predict`` (inference: output, no caches) over a tuple of
+    one array per stream in ``reads``, and ``trainable``/``arrays``/``set_arrays`` over ``parts``
+    in checkpoint order, as a ``Sequential``. A ``TowerModel`` also has ``forward`` (training: the
+    same output and backward caches) and ``backward``; a ``Decomposer`` is trained through its
+    parts. Each pass first gives its input to ``_checked_inputs``, the one check of that tuple."""
 
     reads: tuple[str, ...]
 
@@ -206,21 +208,21 @@ class TowerModel(Model):
         self.output_shape = self.parts[-1].output_shape
 
     def forward(self, inputs: tuple[np.ndarray, ...]):
-        caches = [[] for _ in self.parts]
-        return self._run(inputs, caches), caches
+        return self._run(inputs, keep=True)
 
     def predict(self, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
-        return self._run(inputs, [None] * len(self.parts))
+        return self._run(inputs, keep=False)[0]
 
-    def _run(self, inputs: tuple[np.ndarray, ...], caches: list) -> np.ndarray:
-        """The one tower/head path; ``caches`` holds one slot per part, a list to fill or None.
-        Each part's input is made in the call to its layer loop, so only that loop holds it."""
-        outs = [tower._run(model_input(x), c)
-                for tower, x, c in zip(self.towers, self._checked_inputs(inputs), caches)]
+    def _run(self, inputs: tuple[np.ndarray, ...], keep: bool):
+        """The one tower/head path: the output and one cache list per part, each None unless ``keep``.
+        Each tower's input is made in the call to its layer loop, so only that loop holds it."""
+        outs, caches = zip(*[tower.forward(model_input(x), _keep=keep)
+                             for tower, x in zip(self.towers, self._checked_inputs(inputs))])
         y = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
         if self.head is not None:
-            y = self.head._run(y, caches[-1])
-        return y.reshape(-1) if self.output_shape == (1,) else y
+            y, cache = self.head.forward(y, _keep=keep)
+            caches += (cache,)
+        return (y.reshape(-1) if self.output_shape == (1,) else y), list(caches)
 
     def backward(self, grad: np.ndarray, caches) -> None:
         grad = grad.reshape((-1,) + self.output_shape)
@@ -306,8 +308,9 @@ class CNN1DModel(TowerModel):
 class Decomposer(Model):
     """The subchart arm's model: a CAE encodes each sub-chart and a CNN1D classifies the codes.
 
-    ``forward`` takes the raw (N, S, 3, h, w) sub-chart stacks; checkpoint
-    order is the CAE's encoder, its decoder, then the CNN1D.
+    ``predict`` takes the raw (N, S, 3, h, w) sub-chart stacks; checkpoint
+    order is the CAE's encoder, its decoder, then the CNN1D. It has no
+    ``forward``: :func:`train` trains the CAE and then the CNN1D.
     """
 
     variant = "subchart"
@@ -326,10 +329,6 @@ class Decomposer(Model):
         """Each sample's (latent_dim, S) sequence of sub-chart codes."""
         latent = self.cae.encode(stacks.reshape((-1,) + stacks.shape[2:]))
         return np.ascontiguousarray(latent.reshape(*stacks.shape[:2], -1).transpose(0, 2, 1))
-
-    def forward(self, inputs: tuple[np.ndarray, ...]):
-        (stacks,) = self._checked_inputs(inputs)
-        return self.cnn1d.forward((self.encode(stacks),))
 
     def predict(self, inputs: tuple[np.ndarray, ...]) -> np.ndarray:
         (stacks,) = self._checked_inputs(inputs)

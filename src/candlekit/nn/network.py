@@ -34,33 +34,30 @@ class Sequential:
         sm = SplitMix64(seed)
         self.params: list[Params | None] = [init_params(s, sm.next_u64()) for s in self.specs]
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, *, _keep: bool = True):
         """Output and per-layer caches, for ``backward``; NonFiniteValue on a NaN or inf in the
-        input or output."""
-        caches = []
-        return self._run(x, caches), caches
+        input or output.
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """``forward``'s output, keeping no cache: each layer's is dropped once the next layer
-        has its input."""
-        return self._run(x, None)
-
-    def _run(self, x: np.ndarray, caches: list | None) -> np.ndarray:
-        """The one layer loop: each layer's cache is appended to ``caches``, or dropped when it is None.
-
-        numpy's overflow and invalid-value warnings are silenced in the layers, as the
-        output check that follows turns what they warn of into one NonFiniteValue."""
+        The one layer loop: ``predict`` runs it with ``_keep=False``, which drops each layer's
+        cache before the next layer runs and gives None for the caches. numpy's overflow and
+        invalid-value warnings are silenced in the layers, as the output check that follows
+        turns what they warn of into one NonFiniteValue."""
         if not np.isfinite(x).all():
             raise NonFiniteValue("non-finite values in the stack's input")
+        caches = [] if _keep else None
         with np.errstate(over="ignore", invalid="ignore"):
             for spec, p in zip(self.specs, self.params):
                 x, cache = forward(spec, p, x)
-                if caches is not None:
+                if _keep:
                     caches.append(cache)
                 del cache  # not held while the next layer runs
         if not np.isfinite(x).all():
             raise NonFiniteValue("non-finite values in the stack's output")
-        return x
+        return x, caches
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """``forward``'s output, keeping no cache."""
+        return self.forward(x, _keep=False)[0]
 
     def backward(self, grad: np.ndarray, caches: list, *, _input_grad: bool = True):
         """Gradient w.r.t. the stack's input, accumulating parameter gradients.

@@ -33,7 +33,6 @@ from candlekit.datasets import (
 )
 from candlekit.decompose import subcharts
 from candlekit.errors import (
-    BadParams,
     CandlekitError,
     EmptyDataset,
     ManifestError,
@@ -566,11 +565,6 @@ class TestAssembly:
         ts = planted_signal_set(n_samples=40, seed=3)
         assert ts.history.shape == (40, 3, 32, 32)
         assert ts.labels.mean() == 0.5
-
-    @pytest.mark.parametrize("n_samples, n_candles", [(0, 4), (4, 0), (4, -1)])
-    def test_planted_signal_needs_a_sample_and_a_candle(self, n_samples, n_candles):
-        with pytest.raises(BadParams):
-            planted_signal_set(n_samples=n_samples, n_candles=n_candles)
 
     def test_planted_signal_renders_each_chart_in_place(self, monkeypatch):
         # the one (N, 3, H, W) array holds what stacking every chart's transposed pixels gave;

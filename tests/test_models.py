@@ -115,11 +115,13 @@ class TestBuildModel:
         ("mini_cnn", 2), ("two_stream", 1), ("subchart", 2), ("subchart", 0),
     ])
     def test_forward_checks_its_input_tuple(self, variant, n_streams):
-        # every model checks the tuple of streams the same way
+        # every model checks the tuple of streams the same way, in training and inference;
+        # the Decomposer has no forward of its own
         model = build_model(replace(TS_CFG, variant=variant, latent_dim=8, seq_len=6))
         x = np.zeros((2, 6, 3, 16, 16) if variant == "subchart" else (2, 3, 16, 16), np.float32)
-        with pytest.raises(ShapeMismatch, match="takes a tuple"):
-            model.forward((x,) * n_streams)
+        for run in (model.predict,) if variant == "subchart" else (model.forward, model.predict):
+            with pytest.raises(ShapeMismatch, match="takes a tuple"):
+                run((x,) * n_streams)
 
     @pytest.mark.parametrize("variant, digest", [
         ("mini_cnn", "3c64c56a21e2a74a078401875dfdb5e4495b3218f3cf4366a8c5cad8e36ffa28"),
@@ -328,12 +330,16 @@ class TestPredict:
         if variant == "subchart":
             model = build_model(SUB_CFG)
             inputs = (rng.random((n, SUB_CFG.seq_len, 3, 8, 8), dtype=np.float32),)
+
+            def train_forward(chunk):  # the Decomposer trains its CNN1D on the encoded chunk
+                return model.cnn1d.forward((model.encode(*chunk),))
         else:
             model = build_model(TS_CFG if variant == "two_stream" else SMALL_CFG)
             ts = random_training_set(n=n, seed=13, two_stream=variant == "two_stream")
             inputs = models.batch_inputs(model, ts, slice(None))
+            train_forward = model.forward
         probs = predict(model, inputs)
-        chunked = np.concatenate([model.forward(c)[0] for c in models._chunks(inputs)])
+        chunked = np.concatenate([train_forward(c)[0] for c in models._chunks(inputs)])
         assert probs.shape == (n,) and probs.dtype == chunked.dtype
         assert np.array_equal(probs, chunked)
 
@@ -590,9 +596,9 @@ class TestNonFiniteValues:
         events = []  # "forward", or per step whether it updated the poisoned layer
         real_forward, real_step = Sequential.forward, getattr(models, f"{optimizer}_step")
 
-        def forward(stack, x):
+        def forward(stack, x, **kw):  # training, and inference with _keep=False
             events.append("forward")
-            return real_forward(stack, x)
+            return real_forward(stack, x, **kw)
 
         def step(params, lr):
             events.append(any(p is poisoned for p in params))
@@ -607,6 +613,7 @@ class TestNonFiniteValues:
             events.clear()
             with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
                 train(model, ts, TrainConfig(epochs=1, batch_size=8, optimizer=optimizer))
+            assert events[0] == "forward"  # the patch sees the passes
             assert True not in events or events.index(True) == len(events) - 1
 
     @NON_FINITE
